@@ -1,10 +1,11 @@
 // Async I/O pipeline bench: full-stripe write and rebuild throughput of
-// the RAID-6 simulator at increasing submission-queue depth. qd=1 is the
-// synchronous baseline (one request at a time, per-stripe buffers); the
-// pipelined paths batch all k+2 column I/Os per stripe, reuse long-lived
-// window buffers, coalesce adjacent reads per disk, and skip reads of
-// rebuild-target columns. Results are byte-identical across depths — the
-// speedup column is the operational win of the submission-queue engine.
+// the RAID-6 simulator at increasing submission-queue depth. Every depth
+// runs the same windowed paths; qd=1 is the baseline window of one stripe
+// (one request per disk at a time, nothing to coalesce). Deeper windows
+// batch all k+2 column I/Os of several stripes, coalesce adjacent reads
+// per disk, and overlap parity encode with in-flight writes. Results are
+// byte-identical across depths — the speedup column is what the window
+// buys.
 //
 // Each section runs the geometry its path is sensitive to: full-stripe
 // writes are bandwidth-bound, so large elements expose the zero-copy and
@@ -102,7 +103,7 @@ double rebuild_gbps(std::size_t qd, const std::vector<std::byte>& image) {
         a.fail_disk(1);
         a.replace_disk(1);
         const std::uint32_t disks[] = {1};
-        const rebuild_result res = rebuild_disks(a, disks, nullptr);
+        const rebuild_result res = rebuild_disks(a, disks);
         if (!res.success) std::abort();
         best = std::max(best, res.throughput_gbps());
     }

@@ -1,10 +1,12 @@
 // Volume scale-out bench: one fixed pool of stripes, split across 1, 2,
 // 4, and 8 raid6_array shards behind the volume dispatcher.
 //
-// The container pins this repo to a single CPU, so wall-clock threading
-// numbers would measure the scheduler, not the design. Instead every disk
-// of every shard is armed with a *constant* latency profile (jitter = 0)
-// and the bench reports modeled GB/s in virtual time: each shard advances
+// The host has 4 cores, but wall-clock fan-out on a shared virtual machine
+// tracks hypervisor steal more than the design (run-to-run spreads of
+// 0.77-0.90 on a 4-vCPU host), so these rows are a model, not a
+// measurement. Every disk of every shard is armed with a *constant*
+// latency profile (jitter = 0) and the bench reports modeled GB/s in
+// virtual time: each shard advances
 // its own virtual clock by the device time its I/O would have cost, and a
 // phase that fans out across shards completes when its slowest shard does
 // — the phase time is max over shards of that shard's clock delta, which
@@ -72,7 +74,6 @@ phase_gbps run(std::uint32_t shards) {
     volume_config cfg;
     cfg.shards = shards;
     cfg.chunk_stripes = 1;
-    cfg.threaded_dispatch = true;
     cfg.io_workers_per_shard = 2;  // the multi-queue worker path, lit up
     cfg.shard.k = kData;
     cfg.shard.element_size = kElem;

@@ -71,8 +71,8 @@ struct io_cqe {
 /// Tuning knobs of a queue_pair.
 struct aio_config {
     /// Per-disk in-flight window: submissions beyond this many pending
-    /// requests on one disk force a flush. 1 degenerates to synchronous
-    /// one-request-at-a-time execution.
+    /// requests on one disk force a flush. 1 executes each request as it
+    /// is submitted (a window of one).
     std::size_t queue_depth = 8;
     /// Coalesce adjacent read requests on one disk (contiguous both on
     /// the medium and in memory) into a single transfer. Writes are never

@@ -93,10 +93,12 @@ void stripe_loader::run(std::size_t first, std::size_t last,
 // ---- stripe_writer ----------------------------------------------------
 
 stripe_writer::stripe_writer(queue_pair& qp, const raid::stripe_map& map,
-                             std::size_t crc_block)
+                             std::size_t stripes, std::size_t crc_block)
     : qp_(qp),
       map_(map),
-      window_(std::max<std::size_t>(1, qp.config().queue_depth)),
+      window_(std::clamp<std::size_t>(stripes, 1,
+                                      std::max<std::size_t>(
+                                          1, qp.config().queue_depth))),
       zero_copy_(map.element_size() % util::aligned_buffer::alignment == 0),
       crc_block_(crc_block),
       strip_blocks_(crc_block == 0 ? 0 : map.strip_size() / crc_block),

@@ -1,7 +1,8 @@
 // Completion-driven stripe engines over a queue_pair.
 //
 // Two state machines turn stripe-granular work into batched per-disk
-// submissions:
+// submissions. They are the array's only stripe-granular I/O paths at
+// every queue depth; depth 1 is a window of one stripe.
 //
 //   * stripe_loader — window-prefetches whole stripes for sequential
 //     consumers (rebuild slices, scrub passes). Buffers are *disk-major*:
@@ -98,10 +99,15 @@ public:
     /// column_crcs(slot, k)/column_crcs(slot, k+1) — so the integrity
     /// layer installs precomputed words instead of re-reading every
     /// strip on completion. Must divide the element size.
+    ///
+    /// `stripes` is the length of the run about to be written: the
+    /// window (and all staging) is min(queue depth, stripes), so a
+    /// one-stripe write stages one stripe rather than a whole window.
     stripe_writer(queue_pair& qp, const raid::stripe_map& map,
-                  std::size_t crc_block = 0);
+                  std::size_t stripes, std::size_t crc_block = 0);
 
-    /// Stripes per drain window (the queue_pair's queue depth).
+    /// Stripes per drain window: the queue_pair's queue depth, capped by
+    /// the run length given at construction.
     [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
     /// True when data columns are submitted directly from the host buffer
@@ -139,7 +145,7 @@ public:
     /// write's contract is journal-mark → best-effort store → clear, with
     /// failed columns simply missing the update (the stripe stays
     /// decodable while <= 2 columns are down) — the caller checks
-    /// failed_disk_count() afterwards, exactly like the synchronous path.
+    /// failed_disk_count() afterwards.
     void drain();
 
 private:

@@ -84,10 +84,11 @@ private:
 };
 
 /// Packet size that keeps `live_elements` concurrently touched element
-/// windows within ~32 KiB (L1-resident): the largest power of two >= 64
-/// that fits, clamped to the element size. Returns element_size itself when
-/// it does not split evenly — complexity probes with tiny elements then run
-/// as a single packet and XOR counts are unaffected.
+/// windows within a 1 MiB budget (L2-resident): element_size when the whole
+/// window already fits, otherwise the largest power of two that fits, with
+/// a 1 KiB floor. Returns element_size itself when the packet would not be
+/// smaller or does not split it evenly — complexity probes with tiny
+/// elements then run as a single packet and XOR counts are unaffected.
 [[nodiscard]] std::size_t preferred_packet_size(std::size_t live_elements,
                                                 std::size_t element_size) noexcept;
 

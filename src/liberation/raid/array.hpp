@@ -16,15 +16,15 @@
 //     and failed disks are automatically replaced from a hot-spare pool
 //     with an incremental background rebuild (md's recovery window)
 //     interleaved with foreground I/O;
-//   * async I/O pipeline: at io_queue_depth > 1 the hot stripe paths
-//     (multi-stripe full-stripe writes, rebuild slices, scrub passes) run
-//     over an io_uring-style submission/completion queue pair (aio/) that
-//     batches per-disk I/O, coalesces adjacent reads, and overlaps parity
-//     computation with in-flight column writes. Retry/backoff and health
-//     accounting stay in the execution stage (disk_read/disk_write are
-//     the queue's backend); checksum verification runs as a
-//     completion-stage decorator. Queue depth 1 selects the synchronous
-//     paths byte-for-byte.
+//   * async I/O pipeline: the stripe paths (full-stripe writes, rebuild
+//     slices, scrub passes) run over an io_uring-style
+//     submission/completion queue pair (aio/) that batches per-disk I/O,
+//     coalesces adjacent reads, and overlaps parity computation with
+//     in-flight column writes. Retry/backoff and health accounting stay
+//     in the execution stage (disk_read/disk_write are the queue's
+//     backend); checksum verification runs as a completion-stage
+//     decorator. io_queue_depth sizes the window; depth 1 is a window of
+//     one stripe on the same path.
 #pragma once
 
 #include <algorithm>
@@ -96,12 +96,12 @@ struct array_config {
     std::size_t intent_log_entries = 0;
 
     // ---- async I/O pipeline ------------------------------------------
-    /// Per-disk in-flight window of the submission-queue engine (aio/).
-    /// > 1 enables the pipelined stripe paths: multi-stripe full-stripe
-    /// writes submit all k+2 column I/Os per stripe and encode parity
-    /// while data is in flight; rebuild and scrub window-prefetch stripes
-    /// with per-disk read coalescing. 1 selects the synchronous
-    /// one-request-at-a-time paths (byte-identical results either way).
+    /// Per-disk in-flight window of the submission-queue engine (aio/),
+    /// in stripes: full-stripe writes submit all k+2 column I/Os of up to
+    /// this many stripes and encode parity while data is in flight;
+    /// rebuild and scrub window-prefetch this many stripes with per-disk
+    /// read coalescing. 1 runs the same path one stripe at a time
+    /// (byte-identical disk images at every depth).
     std::size_t io_queue_depth = 8;
     /// Coalesce adjacent reads per disk into single transfers (writes are
     /// never coalesced; see aio::aio_config::merge_adjacent).
@@ -123,8 +123,8 @@ struct array_config {
 };
 
 /// Copyable snapshot of the array's operation counters. The live counters
-/// are atomic (pooled rebuild/resilver workers increment them concurrently
-/// with the foreground path); stats() takes a relaxed snapshot.
+/// are atomic (aio worker batches increment them concurrently with the
+/// foreground path); stats() takes a relaxed snapshot.
 struct array_stats {
     std::uint64_t full_stripe_writes = 0;
     std::uint64_t small_writes = 0;
@@ -443,11 +443,6 @@ public:
     [[nodiscard]] aio::queue_pair& aio_engine() noexcept {
         return *aio_engine_;
     }
-    /// Configured per-disk in-flight window (array_config::io_queue_depth;
-    /// 1 = synchronous paths).
-    [[nodiscard]] std::size_t io_queue_depth() const noexcept {
-        return aio_depth_;
-    }
 
     /// Convenience: allocate a stripe buffer with this array's geometry.
     [[nodiscard]] codes::stripe_buffer make_stripe_buffer() const {
@@ -512,15 +507,13 @@ private:
                                              std::uint32_t col,
                                              std::span<std::byte> out);
 
-    [[nodiscard]] bool write_full_stripe(std::size_t stripe,
-                                         std::span<const std::byte> in);
-    /// Pipelined counterpart of write_full_stripe() for a run of `count`
-    /// consecutive aligned full stripes (io_queue_depth > 1): per window,
-    /// each stripe is journaled, its data columns submitted zero-copy,
-    /// parity encoded while they land, then the window drains and the
-    /// journal entries clear. The window is capped by the intent log's
-    /// headroom so a bounded log never rejects a write the synchronous
-    /// path would have accepted.
+    /// The one full-stripe write path, for a run of `count` >= 1
+    /// consecutive aligned full stripes: per window (io_queue_depth
+    /// stripes, or fewer), each stripe is journaled, its data columns
+    /// submitted zero-copy, parity encoded while they land, then the
+    /// window drains and the journal entries clear. The window is capped
+    /// by the intent log's headroom so a bounded log never rejects a
+    /// write a one-stripe window would have accepted.
     [[nodiscard]] bool write_full_stripes(std::size_t first, std::size_t count,
                                           std::span<const std::byte> in);
     [[nodiscard]] bool write_partial(std::size_t stripe, std::size_t in_stripe,
@@ -679,7 +672,6 @@ private:
     std::atomic<std::uint64_t> write_budget_{UINT64_MAX};
 
     // ---- async I/O pipeline ------------------------------------------
-    std::size_t aio_depth_;
     disk_backend backend_{*this};
     std::unique_ptr<aio::queue_pair> aio_engine_;
 

@@ -1,7 +1,6 @@
 #include "liberation/raid/rebuild.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -14,8 +13,7 @@ namespace liberation::raid {
 
 rebuild_result rebuild_stripe_range(raid6_array& array,
                                     std::span<const std::uint32_t> replaced_disks,
-                                    std::size_t first, std::size_t last,
-                                    util::thread_pool* pool) {
+                                    std::size_t first, std::size_t last) {
     LIBERATION_EXPECTS(!replaced_disks.empty() && replaced_disks.size() <= 2);
     LIBERATION_EXPECTS(first <= last && last <= array.map().stripes());
     rebuild_result result;
@@ -27,32 +25,29 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
         &array.obs().metrics().get_histogram("raid_rebuild_window_ns"),
         "rebuild.window", "rebuild");
 
-    std::atomic<std::size_t> rebuilt{0};
-    std::atomic<std::size_t> columns{0};
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::size_t> failed{0};
-    std::atomic<std::size_t> first_failed{rebuild_result::npos};
-
     const auto note_failure = [&](std::size_t s) {
-        failed.fetch_add(1, std::memory_order_relaxed);
-        std::size_t cur = first_failed.load(std::memory_order_relaxed);
-        while (s < cur && !first_failed.compare_exchange_weak(
-                              cur, s, std::memory_order_relaxed)) {
-        }
+        ++result.stripes_failed;
+        result.first_failed_stripe = std::min(result.first_failed_stripe, s);
+    };
+    const auto note_rebuilt = [&](std::size_t columns) {
+        ++result.stripes_rebuilt;
+        result.columns_rebuilt += columns;
+        result.bytes_written +=
+            static_cast<std::uint64_t>(columns) * array.map().strip_size();
     };
 
     // Which codeword columns live on the replaced disks in this stripe?
-    // The replaced disks read back zeros (blank), so they are not
-    // reported as unavailable — they are unioned in as logical
-    // erasures. (During background hot-spare rebuild the array masks
-    // them as `rebuilding`, in which case they are already erased.)
-    const auto target_columns = [&](std::size_t s) {
-        std::vector<std::uint32_t> cols;
+    // The loader never reads them (it reports them as io_status::rebuilding
+    // erasures); they are also named as extra erasures so classification
+    // re-verifies their reconstruction. The torn path reads them back
+    // blank and unions them in as logical erasures.
+    std::vector<std::uint32_t> target_columns;
+    const auto load_targets = [&](std::size_t s) {
+        target_columns.clear();
         for (const std::uint32_t d : replaced_disks) {
-            cols.push_back(array.map().column_of_disk(s, d));
+            target_columns.push_back(array.map().column_of_disk(s, d));
         }
-        std::sort(cols.begin(), cols.end());
-        return cols;
+        std::sort(target_columns.begin(), target_columns.end());
     };
 
     // A journaled stripe may be torn (interrupted write): its parity
@@ -69,7 +64,8 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             note_failure(s);
             return;
         }
-        for (const std::uint32_t c : target_columns(s)) {
+        load_targets(s);
+        for (const std::uint32_t c : target_columns) {
             if (std::find(erased.begin(), erased.end(), c) == erased.end()) {
                 erased.push_back(c);
             }
@@ -90,139 +86,90 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             note_failure(s);
             return;
         }
-        rebuilt.fetch_add(1, std::memory_order_relaxed);
-        columns.fetch_add(erased.size(), std::memory_order_relaxed);
-        bytes.fetch_add(static_cast<std::uint64_t>(erased.size()) *
-                            array.map().strip_size(),
-                        std::memory_order_relaxed);
+        note_rebuilt(erased.size());
     };
 
-    // Shared commit tail of the verified rebuild: reconstructed targets
-    // plus healed survivors go back to disk, or the stripe is failed.
-    const auto commit_recovered = [&](std::size_t s,
-                                      const codes::stripe_view& v,
-                                      const raid6_array::stripe_recovery& rec) {
-        if (!rec.ok) {
-            note_failure(s);
-            return;
-        }
-        std::vector<std::uint32_t> commit = rec.erased;
-        for (const std::uint32_t c : rec.healed) {
-            if (std::find(commit.begin(), commit.end(), c) == commit.end()) {
-                commit.push_back(c);
+    // Verified rebuild: batched multi-stripe reads through the submission
+    // queue (one merged transfer per surviving disk per window, none for
+    // the rebuild targets) into long-lived slot buffers. Checksum-suspect
+    // survivors are demoted to erasures alongside the targets, and every
+    // reconstructed strip is re-verified against its stored checksum
+    // before it is committed (verify_loaded_stripe does both — a rebuild
+    // must never lay corrupt bytes onto fresh hardware). Torn stripes
+    // take the raw path above.
+    aio::stripe_loader loader(array.aio_engine(), array.map());
+    loader.run(
+        first, last,
+        /*skip_stripe=*/
+        [&](std::size_t s) { return array.journal().is_dirty(s); },
+        /*skip_column=*/
+        [&](std::size_t s, std::uint32_t col) {
+            for (const std::uint32_t d : replaced_disks) {
+                if (array.map().column_of_disk(s, d) == col) return true;
             }
-        }
-        std::sort(commit.begin(), commit.end());
-        // The verification sweep that re-checked every reconstruction
-        // captured its checksum words; the commit hands them over so the
-        // integrity layer installs instead of re-reading each strip.
-        const std::uint32_t n = array.map().n();
-        std::vector<const std::uint32_t*> crc_ptrs;
-        if (rec.crc_valid.size() == n && n != 0) {
-            const std::size_t bps = rec.crcs.size() / n;
-            crc_ptrs.assign(n, nullptr);
-            for (std::uint32_t c = 0; c < n; ++c) {
-                if (rec.crc_valid[c] != 0) {
-                    crc_ptrs[c] = rec.crcs.data() + c * bps;
+            return false;
+        },
+        /*on_skipped=*/rebuild_torn,
+        /*process=*/
+        [&](std::size_t s, const codes::stripe_view& v,
+            std::vector<io_status>& statuses) {
+            load_targets(s);
+            const raid6_array::stripe_recovery rec = array.verify_loaded_stripe(
+                s, v, /*writeback=*/false, target_columns,
+                /*trust_parity=*/true, std::move(statuses));
+            if (!rec.ok) {
+                note_failure(s);
+                return;
+            }
+            // Reconstructed targets plus healed survivors go back to disk.
+            std::vector<std::uint32_t> commit = rec.erased;
+            for (const std::uint32_t c : rec.healed) {
+                if (std::find(commit.begin(), commit.end(), c) ==
+                    commit.end()) {
+                    commit.push_back(c);
                 }
             }
-        }
-        if (!array.store_columns(s, v, commit,
-                                 crc_ptrs.empty() ? nullptr
-                                                  : crc_ptrs.data())) {
-            note_failure(s);
-            return;
-        }
-        rebuilt.fetch_add(1, std::memory_order_relaxed);
-        columns.fetch_add(commit.size(), std::memory_order_relaxed);
-        bytes.fetch_add(
-            static_cast<std::uint64_t>(commit.size()) * array.map().strip_size(),
-            std::memory_order_relaxed);
-    };
-
-    // Verified rebuild: checksum-suspect survivors are demoted to
-    // erasures alongside the rebuild targets, and every reconstructed
-    // strip is re-verified against its stored checksum before it is
-    // committed to the replacement (load_stripe_verified does both —
-    // a rebuild must never lay corrupt bytes onto fresh hardware).
-    const auto rebuild_stripe = [&](std::size_t s) {
-        if (array.journal().is_dirty(s)) {
-            rebuild_torn(s);
-            return;
-        }
-        codes::stripe_buffer buf = array.make_stripe_buffer();
-        const std::vector<std::uint32_t> cols = target_columns(s);
-        const raid6_array::stripe_recovery rec =
-            array.load_stripe_verified(s, buf.view(), /*writeback=*/false,
-                                       cols);
-        commit_recovered(s, buf.view(), rec);
-    };
-
-    if (pool != nullptr) {
-        pool->parallel_for(last - first,
-                           [&](std::size_t i) { rebuild_stripe(first + i); });
-    } else if (array.io_queue_depth() > 1) {
-        // Pipelined rebuild slice: batched multi-stripe reads through the
-        // submission queue (one merged transfer per surviving disk per
-        // window), long-lived slot buffers instead of a fresh
-        // stripe_buffer per stripe, and no reads at all for the rebuild
-        // targets. Torn stripes fall back to the per-stripe raw path.
-        aio::stripe_loader loader(array.aio_engine(), array.map());
-        std::vector<std::uint32_t> cols_scratch;
-        loader.run(
-            first, last,
-            /*skip_stripe=*/
-            [&](std::size_t s) { return array.journal().is_dirty(s); },
-            /*skip_column=*/
-            [&](std::size_t s, std::uint32_t col) {
-                for (const std::uint32_t d : replaced_disks) {
-                    if (array.map().column_of_disk(s, d) == col) return true;
+            std::sort(commit.begin(), commit.end());
+            // The verification sweep that re-checked every reconstruction
+            // captured its checksum words; the commit hands them over so
+            // the integrity layer installs instead of re-reading each
+            // strip.
+            const std::uint32_t n = array.map().n();
+            std::vector<const std::uint32_t*> crc_ptrs;
+            if (rec.crc_valid.size() == n && n != 0) {
+                const std::size_t bps = rec.crcs.size() / n;
+                crc_ptrs.assign(n, nullptr);
+                for (std::uint32_t c = 0; c < n; ++c) {
+                    if (rec.crc_valid[c] != 0) {
+                        crc_ptrs[c] = rec.crcs.data() + c * bps;
+                    }
                 }
-                return false;
-            },
-            /*on_skipped=*/rebuild_torn,
-            /*process=*/
-            [&](std::size_t s, const codes::stripe_view& v,
-                std::vector<io_status>& statuses) {
-                cols_scratch.clear();
-                for (const std::uint32_t d : replaced_disks) {
-                    cols_scratch.push_back(array.map().column_of_disk(s, d));
-                }
-                std::sort(cols_scratch.begin(), cols_scratch.end());
-                const raid6_array::stripe_recovery rec =
-                    array.verify_loaded_stripe(s, v, /*writeback=*/false,
-                                               cols_scratch,
-                                               /*trust_parity=*/true,
-                                               std::move(statuses));
-                commit_recovered(s, v, rec);
-            });
-    } else {
-        for (std::size_t s = first; s < last; ++s) rebuild_stripe(s);
-    }
+            }
+            if (!array.store_columns(s, v, commit,
+                                     crc_ptrs.empty() ? nullptr
+                                                      : crc_ptrs.data())) {
+                note_failure(s);
+                return;
+            }
+            note_rebuilt(commit.size());
+        });
 
-    result.stripes_rebuilt = rebuilt.load();
-    result.columns_rebuilt = columns.load();
-    result.bytes_written = bytes.load();
-    result.stripes_failed = failed.load();
-    result.first_failed_stripe = first_failed.load();
     result.seconds = timer.seconds();
     result.success = result.stripes_failed == 0;
     return result;
 }
 
 rebuild_result rebuild_disks(raid6_array& array,
-                             std::span<const std::uint32_t> replaced_disks,
-                             util::thread_pool* pool) {
+                             std::span<const std::uint32_t> replaced_disks) {
     return rebuild_stripe_range(array, replaced_disks, 0,
-                                array.map().stripes(), pool);
+                                array.map().stripes());
 }
 
-rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk,
-                                    util::thread_pool* pool) {
+rebuild_result fail_replace_rebuild(raid6_array& array, std::uint32_t disk) {
     array.fail_disk(disk);
     array.replace_disk(disk);
     const std::uint32_t disks[] = {disk};
-    return rebuild_disks(array, disks, pool);
+    return rebuild_disks(array, disks);
 }
 
 rebuild_result rebuild_single_disk_hybrid(raid6_array& array,

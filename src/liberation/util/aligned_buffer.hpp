@@ -30,10 +30,18 @@ public:
     /// library-owned buffer without faulting (tail *stores* must still stay
     /// within size(): elements of one strip share the buffer, so writing
     /// padding of an interior element would clobber its neighbour).
-    explicit aligned_buffer(std::size_t size) : size_(size) {
+    ///
+    /// `align` (a power of two, at least `alignment`) raises the alignment
+    /// and the capacity rounding: page alignment (4096) pins a buffer's
+    /// offset within its page, which is what keeps copies between it and
+    /// page-aligned memory (the kernel's page cache) from running
+    /// 4K-aliased at the mercy of the heap layout.
+    explicit aligned_buffer(std::size_t size, std::size_t align = alignment)
+        : size_(size) {
+        LIBERATION_EXPECTS(align >= alignment && (align & (align - 1)) == 0);
         if (size_ == 0) return;
-        capacity_ = (size_ + alignment - 1) / alignment * alignment;
-        data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, capacity_));
+        capacity_ = (size_ + align - 1) / align * align;
+        data_ = static_cast<std::byte*>(std::aligned_alloc(align, capacity_));
         if (data_ == nullptr) throw std::bad_alloc{};
         std::memset(data_, 0, capacity_);
     }

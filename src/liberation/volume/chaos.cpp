@@ -54,7 +54,6 @@ volume_chaos_config default_volume_chaos_config(std::uint64_t seed,
     cfg.ops = ops;
     cfg.volume.shards = shards;
     cfg.volume.chunk_stripes = 1;
-    cfg.volume.threaded_dispatch = true;
     raid::array_config& a = cfg.volume.shard;
     a.k = 4;
     a.element_size = 512;
@@ -184,7 +183,6 @@ volume_chaos_report run_volume_chaos_campaign(const volume_chaos_config& cfg) {
         mo.rebuild_batch_stripes = cfg.volume.shard.rebuild_batch_stripes;
         mo.auto_failover = cfg.volume.shard.auto_failover;
         mo.obs_virtual_time = cfg.volume.shard.obs_virtual_time;
-        mo.threaded_dispatch = cfg.volume.threaded_dispatch;
         persist::mounted_volume m = persist::mount_volume(mo);
         rep.phases.mount_replay_s += mount_clock.seconds();
         rep.manifest_torn_slots +=

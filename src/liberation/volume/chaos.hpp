@@ -14,9 +14,9 @@
 //
 // Everything is driven by one seed through util::xoshiro256 exactly as
 // in the single-array campaign: equal configs replay the same campaign
-// bit-for-bit, including with threaded dispatch (per-shard dispatcher
-// threads serialize each shard's ops in host order, and every random
-// draw happens on the campaign thread).
+// bit-for-bit, although multi-shard ops fan out on threads (per-shard
+// dispatcher threads serialize each shard's ops in host order, and every
+// random draw happens on the campaign thread).
 #pragma once
 
 #include <cstdint>

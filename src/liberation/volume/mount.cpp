@@ -226,7 +226,6 @@ mounted_volume mount_volume(const volume_mount_options& opts) {
     cfg.shard.sector_size = m.sector_size;
     cfg.shard.layout = static_cast<raid::parity_layout>(m.layout);
     cfg.shard.obs_virtual_time = opts.obs_virtual_time;
-    cfg.threaded_dispatch = opts.threaded_dispatch;
     cfg.io_workers_per_shard = 0;
 
     // Activate: the on-disk manifest says "live" from here until a clean

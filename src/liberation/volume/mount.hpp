@@ -58,9 +58,6 @@ struct volume_mount_options {
     bool auto_failover = true;
     bool obs_virtual_time = false;
     bool replay_intent = true;
-    /// Fan multi-shard ops out on dispatcher threads (volume_config::
-    /// threaded_dispatch).
-    bool threaded_dispatch = true;
 };
 
 /// One shard's slot in the mount census.

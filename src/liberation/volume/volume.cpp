@@ -56,6 +56,24 @@ void validate_config(const volume_config& cfg) {
 
 }  // namespace
 
+void volume::init_common(const volume_config& cfg) {
+    // Multi-shard ops always fan out: one single-thread dispatcher per
+    // shard. A one-shard volume never fans out, so it needs none.
+    if (cfg.shards > 1) {
+        dispatch_pools_.reserve(cfg.shards);
+        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
+            dispatch_pools_.push_back(std::make_unique<util::thread_pool>(1));
+        }
+    }
+    chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
+    plans_.resize(cfg.shards);
+    results_.resize(cfg.shards);
+    if (cfg.shard.obs_virtual_time) {
+        obs_.set_clock(raid::virtual_clock_now_ns, &shards_[0]->clock());
+    }
+    init_obs();
+}
+
 volume::volume(const volume_config& cfg) {
     validate_config(cfg);
     if (cfg.io_workers_per_shard > 0) {
@@ -71,20 +89,7 @@ volume::volume(const volume_config& cfg) {
         if (!io_pools_.empty()) sc.io_workers = io_pools_[s].get();
         shards_.push_back(std::make_unique<raid::raid6_array>(sc));
     }
-    threaded_ = cfg.threaded_dispatch && cfg.shards > 1;
-    if (threaded_) {
-        dispatch_pools_.reserve(cfg.shards);
-        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-            dispatch_pools_.push_back(std::make_unique<util::thread_pool>(1));
-        }
-    }
-    chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
-    plans_.resize(cfg.shards);
-    results_.resize(cfg.shards);
-    if (cfg.shard.obs_virtual_time) {
-        obs_.set_clock(raid::virtual_clock_now_ns, &shards_[0]->clock());
-    }
-    init_obs();
+    init_common(cfg);
 }
 
 volume::volume(const volume_config& cfg,
@@ -102,20 +107,7 @@ volume::volume(const volume_config& cfg,
                            arrays.front()->map().stripe_data_size());
     }
     shards_ = std::move(arrays);
-    threaded_ = cfg.threaded_dispatch && cfg.shards > 1;
-    if (threaded_) {
-        dispatch_pools_.reserve(cfg.shards);
-        for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-            dispatch_pools_.push_back(std::make_unique<util::thread_pool>(1));
-        }
-    }
-    chunk_bytes_ = cfg.chunk_stripes * shards_[0]->map().stripe_data_size();
-    plans_.resize(cfg.shards);
-    results_.resize(cfg.shards);
-    if (cfg.shard.obs_virtual_time) {
-        obs_.set_clock(raid::virtual_clock_now_ns, &shards_[0]->clock());
-    }
-    init_obs();
+    init_common(cfg);
 }
 
 volume::~volume() = default;
@@ -252,7 +244,7 @@ bool volume::dispatch(const std::function<bool(std::uint32_t)>& op) {
         if (plans_[s].touched) ++touched;
     }
     bool ok = true;
-    if (threaded_ && touched > 1) {
+    if (touched > 1) {
         // The host op's causal context rides into each dispatcher thread
         // explicitly (thread_local does not cross the pool hop): every
         // fan-out leg gets its own volume.shard_dispatch span under the

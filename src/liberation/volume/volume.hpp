@@ -63,10 +63,6 @@ struct volume_config {
     /// Whole stripes of data per placement chunk. Must divide
     /// shard.stripes. 1 = finest interleave (best single-op fan-out).
     std::size_t chunk_stripes = 1;
-    /// Fan multi-shard ops out on per-shard dispatcher threads. Off =
-    /// shards are visited sequentially on the caller's thread
-    /// (byte-identical results either way).
-    bool threaded_dispatch = true;
     /// Threads in each shard's private aio worker pool (wired into
     /// array_config::io_workers). 0 = shards drive their queue pairs
     /// inline. Per-disk order is preserved either way, but cross-disk
@@ -198,15 +194,18 @@ private:
         std::vector<piece> pieces;
     };
 
+    /// Constructor tail shared by the in-memory and mounted forms:
+    /// dispatchers, per-shard scratch, clock, obs.
+    void init_common(const volume_config& cfg);
     void init_obs();
     /// Cut [addr, addr+len) into per-shard gapless extents; returns the
     /// number of shards touched and counts chunks routed.
     std::uint32_t plan(std::size_t addr, std::size_t len);
-    /// Run op(s) for every touched shard, fanned out when configured.
+    /// Run op(s) for every touched shard; more than one touched shard fans
+    /// out on the dispatcher threads.
     bool dispatch(const std::function<bool(std::uint32_t)>& op);
 
     std::size_t chunk_bytes_ = 0;
-    bool threaded_ = false;
 
     // Pools are declared before the arrays so the arrays (whose aio
     // engines reference io_pools_) are destroyed first.

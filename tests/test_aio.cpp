@@ -1,8 +1,9 @@
 // Async submission-queue I/O pipeline: ring/queue_pair mechanics
 // (merging, split-retry failure isolation, completion ordering),
 // completion-stage decorator composition with the retrying io_policy,
-// and end-to-end equivalence of the pipelined array paths (full-stripe
-// writes, rebuild, scrub) against the synchronous queue-depth-1 paths.
+// and end-to-end equivalence of the windowed array paths (full-stripe
+// writes, rebuild, scrub) across queue depths: depth 1 is the same path
+// one stripe wide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -321,7 +322,7 @@ TEST(AioDecorators, ChecksumMismatchIsNotRetried) {
     EXPECT_EQ(a.io_stats().retries, retries_before);
 }
 
-// ---- pipelined array paths vs the synchronous ones -------------------
+// ---- one window path at every queue depth ----------------------------
 
 TEST(AioArray, PipelinedFullStripeWritesAreByteIdentical) {
     raid6_array sync_a(aio_config_with_depth(1));
@@ -338,6 +339,22 @@ TEST(AioArray, PipelinedFullStripeWritesAreByteIdentical) {
     std::vector<std::byte> out(aio_a.capacity());
     ASSERT_TRUE(aio_a.read(0, out));
     EXPECT_EQ(out, data);
+
+    // One stripe per write() call (the streaming-client op shape) takes
+    // the same window path, one stripe wide, at either depth.
+    const std::size_t sds = aio_a.map().stripe_data_size();
+    for (const std::size_t qd : {std::size_t{1}, std::size_t{8}}) {
+        raid6_array per_stripe(aio_config_with_depth(qd));
+        for (std::size_t off = 0; off < data.size(); off += sds) {
+            ASSERT_TRUE(per_stripe.write(
+                off, std::span<const std::byte>(data).subspan(off, sds)));
+        }
+        EXPECT_EQ(disk_images(per_stripe), disk_images(aio_a)) << "qd " << qd;
+        EXPECT_EQ(per_stripe.stats().full_stripe_writes,
+                  aio_a.stats().full_stripe_writes)
+            << "qd " << qd;
+        EXPECT_EQ(per_stripe.journal().size(), 0u) << "qd " << qd;
+    }
 }
 
 TEST(AioArray, PipelinedRebuildMatchesSynchronousRebuild) {
@@ -348,7 +365,7 @@ TEST(AioArray, PipelinedRebuildMatchesSynchronousRebuild) {
         a.fail_disk(2);
         a.replace_disk(2);
         const std::uint32_t disks[] = {2};
-        const rebuild_result res = rebuild_disks(a, disks, nullptr);
+        const rebuild_result res = rebuild_disks(a, disks);
         EXPECT_TRUE(res.success);
         EXPECT_EQ(res.stripes_rebuilt, a.map().stripes());
         std::vector<std::byte> out(a.capacity());
@@ -369,7 +386,7 @@ TEST(AioArray, PipelinedRebuildCoalescesReads) {
     a.fail_disk(1);
     a.replace_disk(1);
     const std::uint32_t disks[] = {1};
-    ASSERT_TRUE(rebuild_disks(a, disks, nullptr).success);
+    ASSERT_TRUE(rebuild_disks(a, disks).success);
     EXPECT_GT(a.stats().aio_merges, merges_before);
     EXPECT_GT(a.stats().aio_batches, 0u);
 }
@@ -443,7 +460,7 @@ TEST(AioArray, WorkerPoolModeRoundTrips) {
 }
 
 // A bounded intent log smaller than the queue depth must cap the write
-// window instead of surfacing rejections a synchronous writer would
+// window instead of surfacing rejections a one-stripe window would
 // never have produced.
 TEST(AioArray, BoundedIntentLogCapsWindowWithoutRejections) {
     array_config cfg = aio_config_with_depth(8);

@@ -432,7 +432,6 @@ TEST(ObsTrace, CausalTreeConnectsVolumeReadToAioRetry) {
     vcfg.shard.io_queue_depth = 4;
     vcfg.shard.obs_virtual_time = true;
     vcfg.chunk_stripes = 1;
-    vcfg.threaded_dispatch = true;
     volume::volume v(vcfg);
 
     std::vector<std::byte> image(v.capacity());

@@ -65,24 +65,6 @@ TEST(Rebuild, DoubleDiskRestoresContents) {
     EXPECT_EQ(out, data);
 }
 
-TEST(Rebuild, ParallelMatchesSerial) {
-    raid6_array serial(config(5, 16));
-    raid6_array parallel(config(5, 16));
-    const auto data = pattern_bytes(serial.capacity(), 3);
-    ASSERT_TRUE(serial.write(0, data));
-    ASSERT_TRUE(parallel.write(0, data));
-
-    fail_replace_rebuild(serial, 2);
-    util::thread_pool pool(4);
-    fail_replace_rebuild(parallel, 2, &pool);
-
-    std::vector<std::byte> a(serial.capacity()), b(parallel.capacity());
-    ASSERT_TRUE(serial.read(0, a));
-    ASSERT_TRUE(parallel.read(0, b));
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, data);
-}
-
 TEST(Rebuild, RebuildWithConcurrentLatentErrorOnSurvivor) {
     // The RAID-6 motivation (paper Section I): hitting an unreadable
     // sector on a surviving disk *during* single-disk rebuild still

@@ -98,6 +98,13 @@ TEST(AlignedBuffer, AlignmentAndZeroInit) {
     for (std::size_t i = 0; i < buf.size(); ++i) {
         EXPECT_EQ(buf.data()[i], std::byte{0});
     }
+
+    aligned_buffer page(100, 4096);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(page.data()) % 4096, 0u);
+    EXPECT_EQ(page.capacity(), 4096u);
+    for (std::size_t i = 0; i < page.capacity(); ++i) {
+        EXPECT_EQ(page.data()[i], std::byte{0});
+    }
 }
 
 TEST(AlignedBuffer, CapacityRoundsUpTo64) {
