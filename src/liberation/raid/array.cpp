@@ -16,6 +16,40 @@
 
 namespace liberation::raid {
 
+void accumulate(array_stats& into, const array_stats& add) {
+    into.full_stripe_writes += add.full_stripe_writes;
+    into.small_writes += add.small_writes;
+    into.parity_elements_updated += add.parity_elements_updated;
+    into.degraded_stripe_reads += add.degraded_stripe_reads;
+    into.degraded_element_reads += add.degraded_element_reads;
+    into.media_errors_recovered += add.media_errors_recovered;
+    into.transient_errors_masked += add.transient_errors_masked;
+    into.retries_exhausted += add.retries_exhausted;
+    into.disks_tripped += add.disks_tripped;
+    into.spares_promoted += add.spares_promoted;
+    into.rebuilds_completed += add.rebuilds_completed;
+    into.rebuild_stripes_failed += add.rebuild_stripes_failed;
+    into.rebuild_sessions_stalled += add.rebuild_sessions_stalled;
+    into.checksum_mismatches += add.checksum_mismatches;
+    into.reads_self_healed += add.reads_self_healed;
+    into.reads_unrecoverable += add.reads_unrecoverable;
+    into.checksum_metadata_repaired += add.checksum_metadata_repaired;
+    into.writes_rejected_log_full += add.writes_rejected_log_full;
+    into.deadline_exceeded += add.deadline_exceeded;
+    into.hedged_reads += add.hedged_reads;
+    into.hedge_wins += add.hedge_wins;
+    into.slow_trips += add.slow_trips;
+    into.slow_recoveries += add.slow_recoveries;
+    into.slow_routed_reads += add.slow_routed_reads;
+    into.intent_replayed += add.intent_replayed;
+    into.stale_disks_kicked += add.stale_disks_kicked;
+    into.aio_batches += add.aio_batches;
+    into.aio_merges += add.aio_merges;
+    into.aio_split_retries += add.aio_split_retries;
+    into.aio_inflight_highwater =
+        std::max(into.aio_inflight_highwater, add.aio_inflight_highwater);
+}
+
 namespace {
 
 std::uint32_t effective_p(const array_config& cfg) {

@@ -161,6 +161,11 @@ struct array_stats {
     std::uint64_t aio_inflight_highwater = 0; ///< max pending on any one disk
 };
 
+/// Sum `add` into `into` field by field (aio_inflight_highwater keeps the
+/// max): the volume's shard roll-up and the chaos campaign's totals
+/// across kill-and-remount generations.
+void accumulate(array_stats& into, const array_stats& add);
+
 class raid6_array {
 public:
     explicit raid6_array(const array_config& cfg);
@@ -197,6 +202,9 @@ public:
     // ---- end-to-end integrity ----------------------------------------
 
     [[nodiscard]] bool verify_reads() const noexcept { return verify_reads_; }
+    [[nodiscard]] std::size_t sector_size() const noexcept {
+        return sector_size_;
+    }
     /// Checksum granularity: gcd(sector_size, element_size), so every
     /// element-aligned disk I/O is block-aligned.
     [[nodiscard]] std::size_t integrity_block() const noexcept {

@@ -386,4 +386,18 @@ mounted_array mount_array(const mount_options& opts) {
     return mounter::mount(opts);
 }
 
+mount_policy mount_policy_for(const array_config& cfg) {
+    mount_policy mp;
+    mp.io_queue_depth = cfg.io_queue_depth;
+    mp.io_merge = cfg.io_merge;
+    mp.verify_reads = cfg.verify_reads;
+    mp.io_retry = cfg.io_retry;
+    mp.health = cfg.health;
+    mp.latency = cfg.latency;
+    mp.rebuild_batch_stripes = cfg.rebuild_batch_stripes;
+    mp.auto_failover = cfg.auto_failover;
+    mp.obs_virtual_time = cfg.obs_virtual_time;
+    return mp;
+}
+
 }  // namespace liberation::raid::persist

@@ -46,12 +46,11 @@ namespace liberation::raid::persist {
 
 /// Runtime knobs for mounting. Geometry, spare level, and intent-log
 /// capacity come from the superblocks; everything here is per-process
-/// policy that is deliberately *not* persisted.
-struct mount_options {
-    store_config store;
+/// policy that is deliberately *not* persisted. A volume mount applies
+/// the same policy to every shard.
+struct mount_policy {
     std::size_t io_queue_depth = 8;
     bool io_merge = true;
-    util::thread_pool* io_workers = nullptr;
     bool verify_reads = true;
     io_policy_config io_retry{};
     health_config health{};
@@ -65,6 +64,11 @@ struct mount_options {
     /// Replay the persisted intent log before returning (on by default;
     /// tests disable it to inspect the restored journal).
     bool replay_intent = true;
+};
+
+struct mount_options : mount_policy {
+    store_config store;
+    util::thread_pool* io_workers = nullptr;
 };
 
 /// What mount found and did. `ok == false` leaves `array` null and
@@ -99,5 +103,10 @@ struct mounted_array {
 
 /// Reassemble the array persisted in `opts.store.dir` (see file header).
 [[nodiscard]] mounted_array mount_array(const mount_options& opts);
+
+/// The mount policy that brings back an array created from `cfg`: every
+/// per-process knob of array_config, so a remount keeps the policy the
+/// array ran with (hedged reads, queue depth, retry budget, ...).
+[[nodiscard]] mount_policy mount_policy_for(const array_config& cfg);
 
 }  // namespace liberation::raid::persist

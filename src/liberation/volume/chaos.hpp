@@ -12,15 +12,13 @@
 // read/write workload over the full volume address space is checked
 // against a shadow copy after every read.
 //
-// Everything is driven by one seed through util::xoshiro256 exactly as
-// in the single-array campaign: equal configs replay the same campaign
-// bit-for-bit, although multi-shard ops fan out on threads (per-shard
-// dispatcher threads serialize each shard's ops in host order, and every
-// random draw happens on the campaign thread).
+// It is the volume target of the campaign core in raid/chaos.hpp. Equal
+// configs replay bit-for-bit although multi-shard ops fan out on threads:
+// per-shard dispatchers serialize each shard's ops in host order, and
+// every random draw happens on the campaign thread.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "liberation/raid/chaos.hpp"
@@ -55,9 +53,10 @@ struct volume_chaos_event_plan {
     std::size_t corrupt_every = 900;
 };
 
-struct volume_chaos_config {
-    std::uint64_t seed = 42;
-    std::size_t ops = 6000;
+/// The volume campaign: the shared chaos_options plus the volume geometry
+/// and its shard-role plan.
+struct volume_chaos_config : raid::chaos_options {
+    volume_chaos_config() { ops = 6000; }
     /// Shard count, per-shard geometry (must include hot spares for the
     /// fault plan), chunk size, dispatch mode.
     volume_config volume{};
@@ -66,22 +65,7 @@ struct volume_chaos_config {
     bool persist_enabled = false;
     std::string dir;
     bool sync_meta = false;
-    /// Baseline transient error rates armed on every disk of every shard.
-    double transient_read_rate = 0.01;
-    double transient_write_rate = 0.005;
-    /// Largest single read/write (0 = twice the shard stripe data size).
-    std::size_t max_io_bytes = 0;
-    std::uint32_t write_tenths = 4;  ///< fraction of ops that write, tenths
     volume_chaos_event_plan events{};
-    /// Enable span tracing on the volume hub and every shard hub; the
-    /// merged Chrome trace lands in volume_chaos_report::trace_json.
-    bool trace = false;
-    /// Service-level objectives asserted by the verdict (same contract
-    /// as chaos_config::slo, evaluated on the volume hub).
-    std::vector<obs::slo_objective> slo{};
-    std::uint64_t slo_window_ns = 1'000'000'000;
-    std::size_t slo_every_ops = 256;
-    std::function<void(const std::string&)> log{};
 };
 
 /// A volume_chaos_config tuned like default_chaos_config: baseline
@@ -90,57 +74,10 @@ struct volume_chaos_config {
 [[nodiscard]] volume_chaos_config default_volume_chaos_config(
     std::uint64_t seed, std::uint32_t shards, std::size_t ops = 6000);
 
-struct volume_chaos_report {
-    std::size_t ops = 0;
-    std::size_t reads = 0;
-    std::size_t writes = 0;
-    // ---- correctness ----
-    std::size_t mismatches = 0;     ///< reads that disagreed with the shadow
-    std::size_t failed_reads = 0;
-    std::size_t failed_writes = 0;
-    std::size_t final_torn = 0;     ///< stripes inconsistent at the end
-    std::size_t scrub_uncorrectable = 0;
-    // ---- events that actually fired ----
-    std::size_t injected_fail_stops = 0;  ///< across shards A and B
-    std::size_t corruptions_injected = 0;
-    std::size_t power_losses = 0;       ///< in-place reboots (non-persist)
-    std::size_t resynced_stripes = 0;   ///< write-hole recovery
-    std::size_t resilver_healed = 0;
-    std::size_t settle_scrub_healed = 0;
-    std::uint64_t spares_promoted = 0;
-    std::uint64_t rebuilds_completed = 0;
-    // ---- fail-slow tolerance (shard C) ----
-    std::size_t fail_slow_injected = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t hedged_reads = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t slow_trips = 0;
-    std::uint64_t slow_recoveries = 0;
-    // ---- kill-and-remount (persistent runs) ----
-    std::size_t kills = 0;
-    std::size_t remounts = 0;            ///< successful mount_volume() calls
-    std::size_t mount_failures = 0;
-    std::size_t mount_intent_replayed = 0;
-    std::size_t rebuilds_resumed = 0;
-    std::size_t manifest_torn_slots = 0;  ///< across every remount
-    volume_stats stats{};                 ///< final roll-up, kills included
-    raid::chaos_phase_times phases{};
-    std::string metrics_text;  ///< volume hub exposition at campaign end
-    /// Merged volume+shard Chrome trace (volume_chaos_config::trace).
-    std::string trace_json;
-    /// SLO verdict (vacuously ok with no objectives) and the engine's
-    /// final per-objective rendering.
-    bool slo_ok = true;
-    std::string slo_text;
-    bool success = false;
-
-    /// Zero-corruption predicate (same contract as chaos_report::clean).
-    [[nodiscard]] bool clean() const noexcept {
-        return mismatches == 0 && failed_reads == 0 && failed_writes == 0 &&
-               final_torn == 0 && scrub_uncorrectable == 0 &&
-               stats.shard_total.reads_unrecoverable == 0 &&
-               stats.shard_total.rebuild_sessions_stalled == 0;
-    }
+/// The shared chaos_report (its array_stats summed over every shard) plus
+/// the volume's own routing counters.
+struct volume_chaos_report : raid::chaos_report {
+    volume_stats volume{};  ///< final volume roll-up, kills included
 };
 
 /// Run one multi-shard campaign. Deterministic: equal configs produce

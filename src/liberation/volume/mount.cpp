@@ -184,20 +184,11 @@ mounted_volume mount_volume(const volume_mount_options& opts) {
         for (std::uint32_t s = 0; s < m.shards; ++s) {
             shard_census_entry& e = rep.census[s];
             raid::persist::mount_options mo;
+            static_cast<raid::persist::mount_policy&>(mo) = opts;
             mo.store.dir = shard_dir(opts.store.dir, s);
             mo.store.direct_io = opts.store.direct_io;
             mo.store.sync_meta = opts.store.sync_meta;
             mo.store.sync_data = opts.store.sync_data;
-            mo.io_queue_depth = opts.io_queue_depth;
-            mo.io_merge = opts.io_merge;
-            mo.verify_reads = opts.verify_reads;
-            mo.io_retry = opts.io_retry;
-            mo.health = opts.health;
-            mo.latency = opts.latency;
-            mo.rebuild_batch_stripes = opts.rebuild_batch_stripes;
-            mo.auto_failover = opts.auto_failover;
-            mo.obs_virtual_time = opts.obs_virtual_time;
-            mo.replay_intent = opts.replay_intent;
             raid::persist::mounted_array ma = raid::persist::mount_array(mo);
             e.report = ma.report;
             e.mounted = ma.report.ok;

@@ -44,20 +44,9 @@ struct volume_store_config {
 };
 
 /// Runtime policy for mounting (geometry and shard set come from the
-/// manifest; none of this is persisted). Mirrors raid::persist::
-/// mount_options, applied to every shard.
-struct volume_mount_options {
+/// manifest; none of this is persisted), applied to every shard.
+struct volume_mount_options : raid::persist::mount_policy {
     volume_store_config store;
-    std::size_t io_queue_depth = 8;
-    bool io_merge = true;
-    bool verify_reads = true;
-    raid::io_policy_config io_retry{};
-    raid::health_config health{};
-    raid::latency_config latency{};
-    std::size_t rebuild_batch_stripes = 4;
-    bool auto_failover = true;
-    bool obs_virtual_time = false;
-    bool replay_intent = true;
 };
 
 /// One shard's slot in the mount census.

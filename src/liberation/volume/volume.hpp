@@ -91,10 +91,6 @@ struct extent_location {
     std::size_t addr = 0;  ///< shard-local byte address
 };
 
-/// Sum `add` into `into` field by field (shared by the stats roll-up and
-/// the chaos campaigns' cross-remount accounting).
-void accumulate(raid::array_stats& into, const raid::array_stats& add);
-
 class volume {
 public:
     /// Build an in-memory volume of cfg.shards fresh arrays.

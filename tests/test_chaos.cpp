@@ -9,6 +9,10 @@
 // replay bit-for-bit from its seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
+#include "liberation/obs/flight_recorder.hpp"
 #include "liberation/raid/chaos.hpp"
 
 namespace {
@@ -96,6 +100,36 @@ TEST(Chaos, DifferentSeedsStillPassButDiverge) {
     EXPECT_TRUE(b.success);
     // The seed drives the workload, not just the faults.
     EXPECT_NE(a.io.retries, b.io.retries);
+}
+
+// A remount that refuses to assemble ends the run, but through the same
+// epilogue as every other verdict: the failure is counted, the verdict
+// fails, and the flight recorder gets its verdict_failed breadcrumb.
+TEST(Chaos, FailedRemountStillReachesTheVerdictEpilogue) {
+    const std::string dir = ::testing::TempDir() + "liberation-chaos-lost";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    chaos_config cfg = default_chaos_config(42, 2'000);
+    cfg.persist.enabled = true;
+    cfg.persist.dir = dir;
+    cfg.persist.kill_mid_write_at_op = 100;
+    // The "process" dies and its store goes with it: nothing to remount.
+    cfg.log = [&](const std::string& msg) {
+        if (msg.rfind("kill (", 0) == 0) std::filesystem::remove_all(dir);
+    };
+    auto& fr = liberation::obs::flight_recorder::instance();
+    fr.reset();
+    const chaos_report rep = run_chaos_campaign(cfg);
+
+    EXPECT_EQ(rep.kills, 1u);
+    EXPECT_EQ(rep.remounts, 0u);
+    EXPECT_EQ(rep.mount_failures, 1u);
+    EXPECT_FALSE(rep.success);
+    const auto records = fr.snapshot();
+    EXPECT_TRUE(std::any_of(records.begin(), records.end(), [](const auto& r) {
+        return r.kind == liberation::obs::fr_kind::verdict_failed;
+    }));
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

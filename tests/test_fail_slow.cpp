@@ -476,4 +476,40 @@ TEST(FailSlowChaos, CampaignHedgesTripsAndRecoversClean) {
     EXPECT_EQ(again.slow_recoveries, rep.slow_recoveries);
 }
 
+// Hedging must survive kill-and-remount: every remount has to bring the
+// array back with the fail-slow policy it was created with, or the gray
+// disk armed after the first kill drags the clock unobserved. (The qd-8
+// run of the same plan is pinned by tests/golden/chaos.)
+TEST(FailSlowChaos, PersistentCampaignKeepsHedgingAcrossRemounts) {
+    constexpr std::size_t ops = 8000;
+    const std::string dir =
+        ::testing::TempDir() + "liberation-fail-slow-chaos";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    chaos_config cfg = default_chaos_config(42, ops);
+    cfg.array.io_queue_depth = 1;
+    cfg.array.latency.hedged_reads = true;
+    cfg.events.fail_stop_at_op = ops / 5;
+    cfg.events.health_storm_at_op = ops / 2;
+    cfg.events.power_loss_at_op = ops * 4 / 5;
+    cfg.events.fail_slow_at_op = ops / 3;
+    cfg.events.fail_slow_recover_at_op = ops * 2 / 3;
+    cfg.persist.enabled = true;
+    cfg.persist.dir = dir;
+    cfg.persist.kill_mid_rebuild_at_op = ops / 5 + 1;
+    cfg.persist.kill_mid_write_at_op = ops * 7 / 10;
+    cfg.persist.kill_mid_scrub_at_op = ops * 9 / 10;
+    const chaos_report rep = run_chaos_campaign(cfg);
+
+    EXPECT_GE(rep.kills, 1u);
+    EXPECT_EQ(rep.kills, rep.remounts);
+    EXPECT_EQ(rep.fail_slow_injected, 1u);
+    EXPECT_GE(rep.deadline_exceeded, 1u);
+    EXPECT_GE(rep.hedge_wins, 1u);
+    EXPECT_GE(rep.slow_trips, 1u);
+    EXPECT_GE(rep.slow_recoveries, 1u);
+    EXPECT_TRUE(rep.success);
+    std::filesystem::remove_all(dir);
+}
+
 }  // namespace

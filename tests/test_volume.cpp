@@ -517,16 +517,12 @@ TEST(VolumeChaos, CampaignReplaysBitForBitFromSeed) {
     EXPECT_EQ(a.settle_scrub_healed, b.settle_scrub_healed);
     EXPECT_EQ(a.success, b.success);
     // Down to the per-shard fault streams: every shard counter equal.
-    EXPECT_EQ(a.stats.shard_total.transient_errors_masked,
-              b.stats.shard_total.transient_errors_masked);
-    EXPECT_EQ(a.stats.shard_total.degraded_stripe_reads,
-              b.stats.shard_total.degraded_stripe_reads);
-    EXPECT_EQ(a.stats.shard_total.checksum_mismatches,
-              b.stats.shard_total.checksum_mismatches);
-    EXPECT_EQ(a.stats.shard_total.reads_self_healed,
-              b.stats.shard_total.reads_self_healed);
-    EXPECT_EQ(a.stats.chunks_routed, b.stats.chunks_routed);
-    EXPECT_EQ(a.stats.multi_shard_ops, b.stats.multi_shard_ops);
+    EXPECT_EQ(a.stats.transient_errors_masked, b.stats.transient_errors_masked);
+    EXPECT_EQ(a.stats.degraded_stripe_reads, b.stats.degraded_stripe_reads);
+    EXPECT_EQ(a.stats.checksum_mismatches, b.stats.checksum_mismatches);
+    EXPECT_EQ(a.stats.reads_self_healed, b.stats.reads_self_healed);
+    EXPECT_EQ(a.volume.chunks_routed, b.volume.chunks_routed);
+    EXPECT_EQ(a.volume.multi_shard_ops, b.volume.multi_shard_ops);
 }
 
 TEST(VolumeChaos, PersistentCampaignKillsAndRemounts) {

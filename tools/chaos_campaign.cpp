@@ -158,340 +158,285 @@ bool write_file(const char* path, const std::string& text) {
     return ok;
 }
 
-/// The --json verdict: one object with the machine-readable counters, the
-/// per-phase wall-clock timings, and a snapshot of every latency
-/// histogram. All keys are fixed identifiers, so no string escaping is
-/// needed beyond printing them verbatim.
-void print_verdict_json(const chaos_config& cfg, const chaos_report& rep) {
-    std::printf("CHAOS_VERDICT {");
-    std::printf("\"pass\":%s,", rep.success ? "true" : "false");
-    std::printf("\"slo_ok\":%s,", rep.slo_ok ? "true" : "false");
-    std::printf("\"seed\":%llu,", static_cast<unsigned long long>(cfg.seed));
-    std::printf("\"ops\":%zu,", rep.ops);
-    std::printf("\"mismatches\":%zu,", rep.mismatches);
-    std::printf("\"failed_reads\":%zu,", rep.failed_reads);
-    std::printf("\"failed_writes\":%zu,", rep.failed_writes);
-    std::printf("\"torn\":%zu,", rep.final_torn);
-    std::printf("\"degraded\":%zu,", rep.final_degraded);
-    std::printf("\"unrecovered\":%zu,", rep.final_unrecovered);
-    std::printf("\"uncorrectable\":%zu,", rep.scrub_uncorrectable);
-    std::printf("\"checksum_bad\":%zu,", rep.final_checksum_bad);
-    std::printf("\"stalled\":%llu,",
-                static_cast<unsigned long long>(
-                    rep.stats.rebuild_sessions_stalled));
-    std::printf("\"unrecoverable_reads\":%llu,",
-                static_cast<unsigned long long>(rep.stats.reads_unrecoverable));
-    std::printf("\"self_healed\":%llu,",
-                static_cast<unsigned long long>(rep.stats.reads_self_healed));
-    std::printf("\"corruptions\":%zu,", rep.corruptions_injected);
-    std::printf("\"kills\":%zu,", rep.kills);
-    std::printf("\"remounts\":%zu,", rep.remounts);
-    std::printf("\"mount_failures\":%zu,", rep.mount_failures);
-    std::printf("\"intent_replayed\":%zu,", rep.mount_intent_replayed);
-    std::printf("\"stale_disks_kicked\":%zu,", rep.stale_disks_kicked);
-    std::printf("\"rebuilds_resumed\":%zu,", rep.rebuilds_resumed);
-    std::printf("\"fail_slow_injected\":%zu,", rep.fail_slow_injected);
-    std::printf("\"deadline_exceeded\":%llu,",
-                static_cast<unsigned long long>(rep.deadline_exceeded));
-    std::printf("\"hedged_reads\":%llu,",
-                static_cast<unsigned long long>(rep.hedged_reads));
-    std::printf("\"hedge_wins\":%llu,",
-                static_cast<unsigned long long>(rep.hedge_wins));
-    std::printf("\"slow_trips\":%llu,",
-                static_cast<unsigned long long>(rep.slow_trips));
-    std::printf("\"slow_recoveries\":%llu,",
-                static_cast<unsigned long long>(rep.slow_recoveries));
-    std::printf("\"phases\":{\"fill_s\":%.6f,\"workload_s\":%.6f,"
-                "\"settle_s\":%.6f,\"settle_scrub_s\":%.6f,"
-                "\"final_verify_s\":%.6f,\"final_scrub_s\":%.6f,"
-                "\"mount_replay_s\":%.6f,\"total_s\":%.6f},",
-                rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
-                rep.phases.settle_scrub_s, rep.phases.final_verify_s,
-                rep.phases.final_scrub_s, rep.phases.mount_replay_s,
-                rep.phases.total_s());
-    std::printf("\"histograms\":{");
-    bool first = true;
-    for (const auto& [name, snap] : rep.histograms) {
-        if (snap.count == 0) continue;  // unexercised path; skip the noise
-        std::printf("%s\"%s\":{\"count\":%llu,\"sum_ns\":%llu,"
-                    "\"max_ns\":%llu,\"p50_ns\":%llu,\"p95_ns\":%llu,"
-                    "\"p99_ns\":%llu}",
-                    first ? "" : ",", name.c_str(),
-                    static_cast<unsigned long long>(snap.count),
-                    static_cast<unsigned long long>(snap.sum),
-                    static_cast<unsigned long long>(snap.max),
-                    static_cast<unsigned long long>(snap.p50),
-                    static_cast<unsigned long long>(snap.p95),
-                    static_cast<unsigned long long>(snap.p99));
-        first = false;
-    }
-    std::printf("}}\n");
+/// One verdict field: its key in the text verdict line and in the JSON
+/// verdict (nullptr = absent from that form).
+struct verdict_field {
+    const char* text;
+    const char* json;
+    std::uint64_t value;
+    bool boolean = false;
+};
+
+/// One human-readable report line: "  group: key=value ...".
+struct report_line {
+    const char* group;
+    std::vector<std::pair<const char*, std::uint64_t>> values;
+};
+
+/// Everything a target prints, as data: the report lines, then the
+/// verdict fields rendered as the text or the JSON verdict.
+struct verdict_layout {
+    std::string header;
+    std::vector<report_line> lines;
+    const char* tag;  ///< "CHAOS_VERDICT" / "VOLUME_CHAOS_VERDICT"
+    std::vector<verdict_field> fields;
+    bool histograms;  ///< the JSON verdict carries histogram snapshots
+};
+
+verdict_layout array_layout(const chaos_config& cfg, const chaos_report& r) {
+    const auto& st = r.stats;
+    return {
+        "chaos campaign: seed=" + std::to_string(cfg.seed) +
+            " ops=" + std::to_string(r.ops) + " (reads=" +
+            std::to_string(r.reads) + " writes=" + std::to_string(r.writes) +
+            ")",
+        {{"events",
+          {{"fail-stops", r.injected_fail_stops},
+           {"health-trips", r.health_trips},
+           {"power-losses", r.power_losses},
+           {"latent-injected", r.latent_errors_injected},
+           {"corruptions-injected", r.corruptions_injected},
+           {"checksum-flips", r.integrity_corruptions_injected}}},
+         {"recovery",
+          {{"spares-promoted", r.spares_promoted},
+           {"rebuilds-completed", r.rebuilds_completed},
+           {"stripes-resynced", r.resynced_stripes},
+           {"resilver-healed", r.resilver_healed},
+           {"rebuild-stalls", st.rebuild_sessions_stalled}}},
+         {"io policy",
+          {{"retries", r.io.retries},
+           {"masked", r.io.transient_masked},
+           {"exhausted", r.io.retries_exhausted},
+           {"backoff-us", r.io.backoff_us}}},
+         {"fail-slow",
+          {{"injected", r.fail_slow_injected},
+           {"deadline-exceeded", r.deadline_exceeded},
+           {"hedged", r.hedged_reads},
+           {"hedge-wins", r.hedge_wins},
+           {"slow-trips", r.slow_trips},
+           {"slow-recoveries", r.slow_recoveries}}},
+         {"array",
+          {{"degraded-stripe-reads", st.degraded_stripe_reads},
+           {"degraded-element-reads", st.degraded_element_reads},
+           {"media-errors-recovered", st.media_errors_recovered}}},
+         {"integrity",
+          {{"checksum-mismatches", st.checksum_mismatches},
+           {"self-healed-reads", st.reads_self_healed},
+           {"metadata-repaired", st.checksum_metadata_repaired},
+           {"degraded-scrub-repairs", r.degraded_scrub_repairs},
+           {"settle-scrub-healed", r.settle_scrub_healed}}},
+         {"persistence",
+          {{"kills", r.kills},
+           {"remounts", r.remounts},
+           {"mount-failures", r.mount_failures},
+           {"intent-replayed", r.mount_intent_replayed},
+           {"stale-kicked", r.stale_disks_kicked},
+           {"rebuilds-resumed", r.rebuilds_resumed},
+           {"remount-scrub-repairs", r.remount_scrub_repairs}}},
+         {"verdict",
+          {{"mismatches", r.mismatches},
+           {"failed-reads", r.failed_reads},
+           {"failed-writes", r.failed_writes},
+           {"torn", r.final_torn},
+           {"degraded", r.final_degraded},
+           {"unrecovered", r.final_unrecovered},
+           {"uncorrectable", r.scrub_uncorrectable},
+           {"checksum-bad", r.final_checksum_bad},
+           {"unrecoverable-reads", st.reads_unrecoverable}}}},
+        "CHAOS_VERDICT",
+        {{"pass", "pass", r.success, true},
+         {nullptr, "slo_ok", r.slo_ok, true},
+         {"seed", "seed", cfg.seed},
+         {"ops", "ops", r.ops},
+         {"mismatches", "mismatches", r.mismatches},
+         {"failed_reads", "failed_reads", r.failed_reads},
+         {"failed_writes", "failed_writes", r.failed_writes},
+         {"torn", "torn", r.final_torn},
+         {"degraded", "degraded", r.final_degraded},
+         {"unrecovered", "unrecovered", r.final_unrecovered},
+         {"uncorrectable", "uncorrectable", r.scrub_uncorrectable},
+         {"checksum_bad", "checksum_bad", r.final_checksum_bad},
+         {"stalled", "stalled", st.rebuild_sessions_stalled},
+         {"unrecoverable_reads", "unrecoverable_reads", st.reads_unrecoverable},
+         {"self_healed", "self_healed", st.reads_self_healed},
+         {"corruptions", "corruptions", r.corruptions_injected},
+         {"kills", "kills", r.kills},
+         {"remounts", "remounts", r.remounts},
+         {"mount_failures", "mount_failures", r.mount_failures},
+         {"intent_replayed", "intent_replayed", r.mount_intent_replayed},
+         {"stale_disks_kicked", "stale_disks_kicked", r.stale_disks_kicked},
+         {"rebuilds_resumed", "rebuilds_resumed", r.rebuilds_resumed},
+         {"fail_slow", "fail_slow_injected", r.fail_slow_injected},
+         {"deadline_exceeded", "deadline_exceeded", r.deadline_exceeded},
+         {"hedged", "hedged_reads", r.hedged_reads},
+         {"hedge_wins", "hedge_wins", r.hedge_wins},
+         {"slow_trips", "slow_trips", r.slow_trips},
+         {"slow_recoveries", "slow_recoveries", r.slow_recoveries},
+         {"slo_ok", nullptr, r.slo_ok, true}},
+        /*histograms=*/true,
+    };
 }
 
-void print_report(const chaos_config& cfg, const chaos_report& rep,
+verdict_layout volume_layout(const volume_chaos_config& cfg,
+                             const volume_chaos_report& r) {
+    const auto& st = r.stats;
+    return {
+        "volume chaos campaign: seed=" + std::to_string(cfg.seed) +
+            " shards=" + std::to_string(cfg.volume.shards) +
+            " ops=" + std::to_string(r.ops) + " (reads=" +
+            std::to_string(r.reads) + " writes=" + std::to_string(r.writes) +
+            ")",
+        {{"routing",
+          {{"chunks-routed", r.volume.chunks_routed},
+           {"multi-shard-ops", r.volume.multi_shard_ops},
+           {"staged-bytes", r.volume.staged_bytes}}},
+         {"events",
+          {{"fail-stops", r.injected_fail_stops},
+           {"corruptions-injected", r.corruptions_injected},
+           {"power-losses", r.power_losses},
+           {"fail-slow-injected", r.fail_slow_injected}}},
+         {"recovery",
+          {{"spares-promoted", r.spares_promoted},
+           {"rebuilds-completed", r.rebuilds_completed},
+           {"stripes-resynced", r.resynced_stripes},
+           {"resilver-healed", r.resilver_healed},
+           {"settle-scrub-healed", r.settle_scrub_healed},
+           {"rebuild-stalls", st.rebuild_sessions_stalled}}},
+         {"fail-slow",
+          {{"deadline-exceeded", r.deadline_exceeded},
+           {"hedged", r.hedged_reads},
+           {"hedge-wins", r.hedge_wins},
+           {"slow-trips", r.slow_trips},
+           {"slow-recoveries", r.slow_recoveries}}},
+         {"persistence",
+          {{"kills", r.kills},
+           {"remounts", r.remounts},
+           {"mount-failures", r.mount_failures},
+           {"intent-replayed", r.mount_intent_replayed},
+           {"rebuilds-resumed", r.rebuilds_resumed},
+           {"manifest-torn-slots", r.manifest_torn_slots}}},
+         {"verdict",
+          {{"mismatches", r.mismatches},
+           {"failed-reads", r.failed_reads},
+           {"failed-writes", r.failed_writes},
+           {"torn", r.final_torn},
+           {"uncorrectable", r.scrub_uncorrectable},
+           {"unrecoverable-reads", st.reads_unrecoverable},
+           {"self-healed", st.reads_self_healed}}}},
+        "VOLUME_CHAOS_VERDICT",
+        {{"pass", "pass", r.success, true},
+         {nullptr, "slo_ok", r.slo_ok, true},
+         {"seed", "seed", cfg.seed},
+         {"shards", "shards", cfg.volume.shards},
+         {"ops", "ops", r.ops},
+         {"mismatches", "mismatches", r.mismatches},
+         {"failed_reads", "failed_reads", r.failed_reads},
+         {"failed_writes", "failed_writes", r.failed_writes},
+         {"torn", "torn", r.final_torn},
+         {"uncorrectable", "uncorrectable", r.scrub_uncorrectable},
+         {"stalled", "stalled", st.rebuild_sessions_stalled},
+         {"unrecoverable_reads", "unrecoverable_reads", st.reads_unrecoverable},
+         {"self_healed", "self_healed", st.reads_self_healed},
+         {"fail_stops", "fail_stops", r.injected_fail_stops},
+         {"corruptions", "corruptions", r.corruptions_injected},
+         {"power_losses", "power_losses", r.power_losses},
+         {"spares_promoted", "spares_promoted", r.spares_promoted},
+         {"rebuilds_completed", "rebuilds_completed", r.rebuilds_completed},
+         {"kills", "kills", r.kills},
+         {"remounts", "remounts", r.remounts},
+         {"mount_failures", "mount_failures", r.mount_failures},
+         {"intent_replayed", "intent_replayed", r.mount_intent_replayed},
+         {"rebuilds_resumed", "rebuilds_resumed", r.rebuilds_resumed},
+         {"manifest_torn_slots", "manifest_torn_slots", r.manifest_torn_slots},
+         {"fail_slow", "fail_slow_injected", r.fail_slow_injected},
+         {"deadline_exceeded", "deadline_exceeded", r.deadline_exceeded},
+         {"hedged", "hedged_reads", r.hedged_reads},
+         {"hedge_wins", "hedge_wins", r.hedge_wins},
+         {"slow_trips", "slow_trips", r.slow_trips},
+         {"slow_recoveries", "slow_recoveries", r.slow_recoveries},
+         {"slo_ok", nullptr, r.slo_ok, true},
+         {nullptr, "multi_shard_ops", r.volume.multi_shard_ops},
+         {nullptr, "chunks_routed", r.volume.chunks_routed}},
+        /*histograms=*/false,
+    };
+}
+
+/// Print the report, then the verdict: one machine-readable line for CI
+/// log scrapers (text, or --json: one object that also carries the
+/// per-phase timings and, for the array, every latency-histogram
+/// snapshot), then the human PASS/FAIL. All JSON keys are fixed
+/// identifiers, so no string escaping is needed.
+void print_report(const verdict_layout& v, const chaos_report& rep,
                   bool json) {
-    std::printf("chaos campaign: seed=%llu ops=%zu (reads=%zu writes=%zu)\n",
-                static_cast<unsigned long long>(cfg.seed), rep.ops, rep.reads,
-                rep.writes);
-    std::printf("  events: fail-stops=%zu health-trips=%llu power-losses=%zu "
-                "latent-injected=%zu corruptions-injected=%zu "
-                "checksum-flips=%zu\n",
-                rep.injected_fail_stops,
-                static_cast<unsigned long long>(rep.health_trips),
-                rep.power_losses, rep.latent_errors_injected,
-                rep.corruptions_injected, rep.integrity_corruptions_injected);
-    std::printf("  recovery: spares-promoted=%llu rebuilds-completed=%llu "
-                "stripes-resynced=%zu resilver-healed=%zu rebuild-stalls=%llu\n",
-                static_cast<unsigned long long>(rep.spares_promoted),
-                static_cast<unsigned long long>(rep.rebuilds_completed),
-                rep.resynced_stripes, rep.resilver_healed,
-                static_cast<unsigned long long>(
-                    rep.stats.rebuild_sessions_stalled));
-    std::printf("  io policy: retries=%llu masked=%llu exhausted=%llu "
-                "backoff-us=%llu\n",
-                static_cast<unsigned long long>(rep.io.retries),
-                static_cast<unsigned long long>(rep.io.transient_masked),
-                static_cast<unsigned long long>(rep.io.retries_exhausted),
-                static_cast<unsigned long long>(rep.io.backoff_us));
-    std::printf("  fail-slow: injected=%zu deadline-exceeded=%llu hedged=%llu "
-                "hedge-wins=%llu slow-trips=%llu slow-recoveries=%llu\n",
-                rep.fail_slow_injected,
-                static_cast<unsigned long long>(rep.deadline_exceeded),
-                static_cast<unsigned long long>(rep.hedged_reads),
-                static_cast<unsigned long long>(rep.hedge_wins),
-                static_cast<unsigned long long>(rep.slow_trips),
-                static_cast<unsigned long long>(rep.slow_recoveries));
-    std::printf("  array: degraded-stripe-reads=%llu degraded-element-reads=%llu "
-                "media-errors-recovered=%llu\n",
-                static_cast<unsigned long long>(rep.stats.degraded_stripe_reads),
-                static_cast<unsigned long long>(rep.stats.degraded_element_reads),
-                static_cast<unsigned long long>(rep.stats.media_errors_recovered));
-    std::printf("  integrity: checksum-mismatches=%llu self-healed-reads=%llu "
-                "metadata-repaired=%llu degraded-scrub-repairs=%zu "
-                "settle-scrub-healed=%zu\n",
-                static_cast<unsigned long long>(rep.stats.checksum_mismatches),
-                static_cast<unsigned long long>(rep.stats.reads_self_healed),
-                static_cast<unsigned long long>(
-                    rep.stats.checksum_metadata_repaired),
-                rep.degraded_scrub_repairs, rep.settle_scrub_healed);
-    std::printf("  persistence: kills=%zu remounts=%zu mount-failures=%zu "
-                "intent-replayed=%zu stale-kicked=%zu rebuilds-resumed=%zu "
-                "remount-scrub-repairs=%zu\n",
-                rep.kills, rep.remounts, rep.mount_failures,
-                rep.mount_intent_replayed, rep.stale_disks_kicked,
-                rep.rebuilds_resumed, rep.remount_scrub_repairs);
-    std::printf("  verdict: mismatches=%zu failed-reads=%zu failed-writes=%zu "
-                "torn=%zu degraded=%zu unrecovered=%zu uncorrectable=%zu "
-                "checksum-bad=%zu unrecoverable-reads=%llu\n",
-                rep.mismatches, rep.failed_reads, rep.failed_writes,
-                rep.final_torn, rep.final_degraded, rep.final_unrecovered,
-                rep.scrub_uncorrectable, rep.final_checksum_bad,
-                static_cast<unsigned long long>(rep.stats.reads_unrecoverable));
+    std::printf("%s\n", v.header.c_str());
+    for (const report_line& l : v.lines) {
+        std::printf("  %s:", l.group);
+        for (const auto& [key, value] : l.values) {
+            std::printf(" %s=%llu", key,
+                        static_cast<unsigned long long>(value));
+        }
+        std::printf("\n");
+    }
     // Wall-clock timings go to stderr: stdout must stay byte-identical
     // for a fixed seed (the determinism probe / CI scrapers cmp it).
+    const auto& ph = rep.phases;
     std::fprintf(stderr,
                  "  phases: fill=%.3fs workload=%.3fs settle=%.3fs "
                  "settle-scrub=%.3fs verify=%.3fs final-scrub=%.3fs "
                  "mount-replay=%.3fs total=%.3fs\n",
-                 rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
-                 rep.phases.settle_scrub_s, rep.phases.final_verify_s,
-                 rep.phases.final_scrub_s, rep.phases.mount_replay_s,
-                 rep.phases.total_s());
+                 ph.fill_s, ph.workload_s, ph.settle_s, ph.settle_scrub_s,
+                 ph.final_verify_s, ph.final_scrub_s, ph.mount_replay_s,
+                 ph.total_s());
     // Per-objective SLO status (only when objectives were configured);
     // deterministic on the virtual clock.
     if (!rep.slo_text.empty()) std::printf("%s", rep.slo_text.c_str());
-    if (json) {
-        print_verdict_json(cfg, rep);
-        std::printf("%s\n", rep.success ? "PASS" : "FAIL");
+    if (!json) {
+        std::printf("%s", v.tag);
+        for (const verdict_field& f : v.fields) {
+            if (f.text == nullptr) continue;
+            std::printf(" %s=%llu", f.text,
+                        static_cast<unsigned long long>(f.value));
+        }
+        std::printf("\n%s\n", rep.success ? "PASS" : "FAIL");
         return;
     }
-    // One machine-readable line for CI log scrapers, then the human one.
-    std::printf("CHAOS_VERDICT pass=%d seed=%llu ops=%zu mismatches=%zu "
-                "failed_reads=%zu failed_writes=%zu torn=%zu degraded=%zu "
-                "unrecovered=%zu uncorrectable=%zu checksum_bad=%zu "
-                "stalled=%llu unrecoverable_reads=%llu self_healed=%llu "
-                "corruptions=%zu kills=%zu remounts=%zu mount_failures=%zu "
-                "intent_replayed=%zu stale_disks_kicked=%zu "
-                "rebuilds_resumed=%zu fail_slow=%zu deadline_exceeded=%llu "
-                "hedged=%llu hedge_wins=%llu slow_trips=%llu "
-                "slow_recoveries=%llu slo_ok=%d\n",
-                rep.success ? 1 : 0,
-                static_cast<unsigned long long>(cfg.seed), rep.ops,
-                rep.mismatches, rep.failed_reads, rep.failed_writes,
-                rep.final_torn, rep.final_degraded, rep.final_unrecovered,
-                rep.scrub_uncorrectable, rep.final_checksum_bad,
-                static_cast<unsigned long long>(
-                    rep.stats.rebuild_sessions_stalled),
-                static_cast<unsigned long long>(rep.stats.reads_unrecoverable),
-                static_cast<unsigned long long>(rep.stats.reads_self_healed),
-                rep.corruptions_injected, rep.kills, rep.remounts,
-                rep.mount_failures, rep.mount_intent_replayed,
-                rep.stale_disks_kicked, rep.rebuilds_resumed,
-                rep.fail_slow_injected,
-                static_cast<unsigned long long>(rep.deadline_exceeded),
-                static_cast<unsigned long long>(rep.hedged_reads),
-                static_cast<unsigned long long>(rep.hedge_wins),
-                static_cast<unsigned long long>(rep.slow_trips),
-                static_cast<unsigned long long>(rep.slow_recoveries),
-                rep.slo_ok ? 1 : 0);
-    std::printf("%s\n", rep.success ? "PASS" : "FAIL");
-}
-
-/// The --json verdict of the volume campaign: the same counter contract
-/// as print_verdict_json, per-shard totals rolled up.
-void print_volume_verdict_json(const volume_chaos_config& cfg,
-                               const volume_chaos_report& rep) {
-    std::printf("VOLUME_CHAOS_VERDICT {");
-    std::printf("\"pass\":%s,", rep.success ? "true" : "false");
-    std::printf("\"slo_ok\":%s,", rep.slo_ok ? "true" : "false");
-    std::printf("\"seed\":%llu,", static_cast<unsigned long long>(cfg.seed));
-    std::printf("\"shards\":%u,", cfg.volume.shards);
-    std::printf("\"ops\":%zu,", rep.ops);
-    std::printf("\"mismatches\":%zu,", rep.mismatches);
-    std::printf("\"failed_reads\":%zu,", rep.failed_reads);
-    std::printf("\"failed_writes\":%zu,", rep.failed_writes);
-    std::printf("\"torn\":%zu,", rep.final_torn);
-    std::printf("\"uncorrectable\":%zu,", rep.scrub_uncorrectable);
-    std::printf("\"stalled\":%llu,",
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.rebuild_sessions_stalled));
-    std::printf("\"unrecoverable_reads\":%llu,",
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_unrecoverable));
-    std::printf("\"self_healed\":%llu,",
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_self_healed));
-    std::printf("\"fail_stops\":%zu,", rep.injected_fail_stops);
-    std::printf("\"corruptions\":%zu,", rep.corruptions_injected);
-    std::printf("\"power_losses\":%zu,", rep.power_losses);
-    std::printf("\"spares_promoted\":%llu,",
-                static_cast<unsigned long long>(rep.spares_promoted));
-    std::printf("\"rebuilds_completed\":%llu,",
-                static_cast<unsigned long long>(rep.rebuilds_completed));
-    std::printf("\"kills\":%zu,", rep.kills);
-    std::printf("\"remounts\":%zu,", rep.remounts);
-    std::printf("\"mount_failures\":%zu,", rep.mount_failures);
-    std::printf("\"intent_replayed\":%zu,", rep.mount_intent_replayed);
-    std::printf("\"rebuilds_resumed\":%zu,", rep.rebuilds_resumed);
-    std::printf("\"manifest_torn_slots\":%zu,", rep.manifest_torn_slots);
-    std::printf("\"fail_slow_injected\":%zu,", rep.fail_slow_injected);
-    std::printf("\"deadline_exceeded\":%llu,",
-                static_cast<unsigned long long>(rep.deadline_exceeded));
-    std::printf("\"hedged_reads\":%llu,",
-                static_cast<unsigned long long>(rep.hedged_reads));
-    std::printf("\"hedge_wins\":%llu,",
-                static_cast<unsigned long long>(rep.hedge_wins));
-    std::printf("\"slow_trips\":%llu,",
-                static_cast<unsigned long long>(rep.slow_trips));
-    std::printf("\"slow_recoveries\":%llu,",
-                static_cast<unsigned long long>(rep.slow_recoveries));
-    std::printf("\"multi_shard_ops\":%zu,", rep.stats.multi_shard_ops);
-    std::printf("\"chunks_routed\":%zu,", rep.stats.chunks_routed);
+    std::printf("%s {", v.tag);
+    for (const verdict_field& f : v.fields) {
+        if (f.json == nullptr) continue;
+        if (f.boolean) {
+            std::printf("\"%s\":%s,", f.json, f.value != 0 ? "true" : "false");
+        } else {
+            std::printf("\"%s\":%llu,", f.json,
+                        static_cast<unsigned long long>(f.value));
+        }
+    }
     std::printf("\"phases\":{\"fill_s\":%.6f,\"workload_s\":%.6f,"
                 "\"settle_s\":%.6f,\"settle_scrub_s\":%.6f,"
                 "\"final_verify_s\":%.6f,\"final_scrub_s\":%.6f,"
-                "\"mount_replay_s\":%.6f,\"total_s\":%.6f}}\n",
-                rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
-                rep.phases.settle_scrub_s, rep.phases.final_verify_s,
-                rep.phases.final_scrub_s, rep.phases.mount_replay_s,
-                rep.phases.total_s());
-}
-
-void print_volume_report(const volume_chaos_config& cfg,
-                         const volume_chaos_report& rep, bool json) {
-    std::printf("volume chaos campaign: seed=%llu shards=%u ops=%zu "
-                "(reads=%zu writes=%zu)\n",
-                static_cast<unsigned long long>(cfg.seed), cfg.volume.shards,
-                rep.ops, rep.reads, rep.writes);
-    std::printf("  routing: chunks-routed=%zu multi-shard-ops=%zu "
-                "staged-bytes=%zu\n",
-                rep.stats.chunks_routed, rep.stats.multi_shard_ops,
-                rep.stats.staged_bytes);
-    std::printf("  events: fail-stops=%zu corruptions-injected=%zu "
-                "power-losses=%zu fail-slow-injected=%zu\n",
-                rep.injected_fail_stops, rep.corruptions_injected,
-                rep.power_losses, rep.fail_slow_injected);
-    std::printf("  recovery: spares-promoted=%llu rebuilds-completed=%llu "
-                "stripes-resynced=%zu resilver-healed=%zu "
-                "settle-scrub-healed=%zu rebuild-stalls=%llu\n",
-                static_cast<unsigned long long>(rep.spares_promoted),
-                static_cast<unsigned long long>(rep.rebuilds_completed),
-                rep.resynced_stripes, rep.resilver_healed,
-                rep.settle_scrub_healed,
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.rebuild_sessions_stalled));
-    std::printf("  fail-slow: deadline-exceeded=%llu hedged=%llu "
-                "hedge-wins=%llu slow-trips=%llu slow-recoveries=%llu\n",
-                static_cast<unsigned long long>(rep.deadline_exceeded),
-                static_cast<unsigned long long>(rep.hedged_reads),
-                static_cast<unsigned long long>(rep.hedge_wins),
-                static_cast<unsigned long long>(rep.slow_trips),
-                static_cast<unsigned long long>(rep.slow_recoveries));
-    std::printf("  persistence: kills=%zu remounts=%zu mount-failures=%zu "
-                "intent-replayed=%zu rebuilds-resumed=%zu "
-                "manifest-torn-slots=%zu\n",
-                rep.kills, rep.remounts, rep.mount_failures,
-                rep.mount_intent_replayed, rep.rebuilds_resumed,
-                rep.manifest_torn_slots);
-    std::printf("  verdict: mismatches=%zu failed-reads=%zu failed-writes=%zu "
-                "torn=%zu uncorrectable=%zu unrecoverable-reads=%llu "
-                "self-healed=%llu\n",
-                rep.mismatches, rep.failed_reads, rep.failed_writes,
-                rep.final_torn, rep.scrub_uncorrectable,
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_unrecoverable),
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_self_healed));
-    // Wall-clock timings go to stderr: stdout must stay byte-identical
-    // for a fixed seed (the determinism probe / CI scrapers cmp it).
-    std::fprintf(stderr,
-                 "  phases: fill=%.3fs workload=%.3fs settle=%.3fs "
-                 "settle-scrub=%.3fs verify=%.3fs final-scrub=%.3fs "
-                 "mount-replay=%.3fs total=%.3fs\n",
-                 rep.phases.fill_s, rep.phases.workload_s, rep.phases.settle_s,
-                 rep.phases.settle_scrub_s, rep.phases.final_verify_s,
-                 rep.phases.final_scrub_s, rep.phases.mount_replay_s,
-                 rep.phases.total_s());
-    if (!rep.slo_text.empty()) std::printf("%s", rep.slo_text.c_str());
-    if (json) {
-        print_volume_verdict_json(cfg, rep);
-        std::printf("%s\n", rep.success ? "PASS" : "FAIL");
-        return;
+                "\"mount_replay_s\":%.6f,\"total_s\":%.6f}",
+                ph.fill_s, ph.workload_s, ph.settle_s, ph.settle_scrub_s,
+                ph.final_verify_s, ph.final_scrub_s, ph.mount_replay_s,
+                ph.total_s());
+    if (v.histograms) {
+        std::printf(",\"histograms\":{");
+        bool first = true;
+        for (const auto& [name, snap] : rep.histograms) {
+            if (snap.count == 0) continue;  // unexercised path; skip the noise
+            std::printf("%s\"%s\":{\"count\":%llu,\"sum_ns\":%llu,"
+                        "\"max_ns\":%llu,\"p50_ns\":%llu,\"p95_ns\":%llu,"
+                        "\"p99_ns\":%llu}",
+                        first ? "" : ",", name.c_str(),
+                        static_cast<unsigned long long>(snap.count),
+                        static_cast<unsigned long long>(snap.sum),
+                        static_cast<unsigned long long>(snap.max),
+                        static_cast<unsigned long long>(snap.p50),
+                        static_cast<unsigned long long>(snap.p95),
+                        static_cast<unsigned long long>(snap.p99));
+            first = false;
+        }
+        std::printf("}");
     }
-    std::printf("VOLUME_CHAOS_VERDICT pass=%d seed=%llu shards=%u ops=%zu "
-                "mismatches=%zu failed_reads=%zu failed_writes=%zu torn=%zu "
-                "uncorrectable=%zu stalled=%llu unrecoverable_reads=%llu "
-                "self_healed=%llu fail_stops=%zu corruptions=%zu "
-                "power_losses=%zu spares_promoted=%llu "
-                "rebuilds_completed=%llu kills=%zu remounts=%zu "
-                "mount_failures=%zu intent_replayed=%zu rebuilds_resumed=%zu "
-                "manifest_torn_slots=%zu fail_slow=%zu deadline_exceeded=%llu "
-                "hedged=%llu hedge_wins=%llu slow_trips=%llu "
-                "slow_recoveries=%llu slo_ok=%d\n",
-                rep.success ? 1 : 0,
-                static_cast<unsigned long long>(cfg.seed), cfg.volume.shards,
-                rep.ops, rep.mismatches, rep.failed_reads, rep.failed_writes,
-                rep.final_torn, rep.scrub_uncorrectable,
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.rebuild_sessions_stalled),
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_unrecoverable),
-                static_cast<unsigned long long>(
-                    rep.stats.shard_total.reads_self_healed),
-                rep.injected_fail_stops, rep.corruptions_injected,
-                rep.power_losses,
-                static_cast<unsigned long long>(rep.spares_promoted),
-                static_cast<unsigned long long>(rep.rebuilds_completed),
-                rep.kills, rep.remounts, rep.mount_failures,
-                rep.mount_intent_replayed, rep.rebuilds_resumed,
-                rep.manifest_torn_slots, rep.fail_slow_injected,
-                static_cast<unsigned long long>(rep.deadline_exceeded),
-                static_cast<unsigned long long>(rep.hedged_reads),
-                static_cast<unsigned long long>(rep.hedge_wins),
-                static_cast<unsigned long long>(rep.slow_trips),
-                static_cast<unsigned long long>(rep.slow_recoveries),
-                rep.slo_ok ? 1 : 0);
-    std::printf("%s\n", rep.success ? "PASS" : "FAIL");
+    std::printf("}\n%s\n", rep.success ? "PASS" : "FAIL");
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -566,7 +511,6 @@ int main(int argc, char** argv) {
             metrics_out = v;
         } else if (const char* v = arg("--trace-out")) {
             trace_out = v;
-            cfg.trace = true;
         } else if (const char* v = arg("--slo-read-p99-us")) {
             slo_enabled = true;
             slo_read_p99_us = std::strtoull(v, nullptr, 0);
@@ -587,22 +531,31 @@ int main(int argc, char** argv) {
             usage(argv[0]);
         }
     }
-    if (shards >= 2) {
+    // Options shared by both targets.
+    cfg.seed = seed;
+    cfg.ops = ops;
+    cfg.trace = trace_out != nullptr;
+    if (!quiet) {
+        cfg.log = [](const std::string& msg) {
+            std::printf("  [event] %s\n", msg.c_str());
+        };
+    }
+    const bool volume_mode = shards >= 2;
+    if (slo_enabled) {
+        cfg.slo = make_slo_objectives(slo_read_p99_us, volume_mode);
+    }
+
+    chaos_report rep;
+    if (volume_mode) {
         // Multi-shard route: the volume campaign. Per-shard knobs reuse
         // the single-array flags (each shard gets the same geometry).
         volume_chaos_config vcfg =
             liberation::volume::default_volume_chaos_config(seed, shards,
                                                             ops);
+        static_cast<liberation::raid::chaos_options&>(vcfg) = cfg;
         vcfg.volume.shard.hot_spares = cfg.array.hot_spares;
         vcfg.volume.shard.stripes = cfg.array.stripes;
         vcfg.volume.shard.io_queue_depth = cfg.array.io_queue_depth;
-        vcfg.transient_read_rate = cfg.transient_read_rate;
-        vcfg.transient_write_rate = cfg.transient_write_rate;
-        vcfg.trace = trace_out != nullptr;
-        if (slo_enabled) {
-            vcfg.slo = make_slo_objectives(slo_read_p99_us,
-                                           /*volume_mode=*/true);
-        }
         if (fail_slow) {
             vcfg.volume.shard.latency.hedged_reads = true;
         } else {
@@ -616,66 +569,39 @@ int main(int argc, char** argv) {
             vcfg.dir = persist_dir;
             vcfg.sync_meta = sync_meta;
         }
-        if (!quiet) {
-            vcfg.log = [](const std::string& msg) {
-                std::printf("  [event] %s\n", msg.c_str());
-            };
-        }
-        const volume_chaos_report rep =
+        const volume_chaos_report vrep =
             liberation::volume::run_volume_chaos_campaign(vcfg);
-        print_volume_report(vcfg, rep, json);
-        bool exports_ok = true;
-        if (metrics_out != nullptr) {
-            exports_ok = write_file(metrics_out, rep.metrics_text);
+        print_report(volume_layout(vcfg, vrep), vrep, json);
+        rep = vrep;
+    } else {
+        // Default event plan scales with the op count so short runs still
+        // exercise every fault class.
+        cfg.events.fail_stop_at_op = ops / 5;
+        cfg.events.health_storm_at_op = ops / 2;
+        cfg.events.power_loss_at_op = (ops * 4) / 5;
+        if (fail_slow) {
+            // The straggler arms in the quiet stretch after the fail-stop's
+            // rebuild drains and recovers before the power loss, so
+            // hedging, quarantine, and un-quarantine all run within one
+            // campaign.
+            cfg.array.latency.hedged_reads = true;
+            cfg.events.fail_slow_at_op = ops / 3;
+            cfg.events.fail_slow_recover_at_op = (ops * 2) / 3;
         }
-        if (trace_out != nullptr) {
-            exports_ok =
-                write_file(trace_out, rep.trace_json) && exports_ok;
+        if (cfg.persist.enabled) {
+            // Crash points interleave with the fault plan: the mid-rebuild
+            // kill arms right after the fail-stop (while its spare's
+            // rebuild is in flight), the mid-write kill in the quiet
+            // stretch between the storm and the power loss, the mid-scrub
+            // kill near the end.
+            cfg.persist.kill_mid_rebuild_at_op = ops / 5 + 1;
+            cfg.persist.kill_mid_write_at_op = (ops * 7) / 10;
+            cfg.persist.kill_mid_scrub_at_op = (ops * 9) / 10;
         }
-        if (listen_port >= 0) {
-            exports_ok = serve_captured(listen_port, serve_requests,
-                                        rep.metrics_text, rep.trace_json,
-                                        rep.success) &&
-                         exports_ok;
-        }
-        return rep.success && exports_ok ? 0 : 1;
+        rep = liberation::raid::run_chaos_campaign(cfg);
+        print_report(array_layout(cfg, rep), rep, json);
     }
 
-    cfg.seed = seed;
-    cfg.ops = ops;
-    // Default event plan scales with the op count so short runs still
-    // exercise every fault class.
-    cfg.events.fail_stop_at_op = ops / 5;
-    cfg.events.health_storm_at_op = ops / 2;
-    cfg.events.power_loss_at_op = (ops * 4) / 5;
-    if (fail_slow) {
-        // The straggler arms in the quiet stretch after the fail-stop's
-        // rebuild drains and recovers before the power loss, so hedging,
-        // quarantine, and un-quarantine all run within one campaign.
-        cfg.array.latency.hedged_reads = true;
-        cfg.events.fail_slow_at_op = ops / 3;
-        cfg.events.fail_slow_recover_at_op = (ops * 2) / 3;
-    }
-    if (cfg.persist.enabled) {
-        // Crash points interleave with the fault plan: the mid-rebuild
-        // kill arms right after the fail-stop (while its spare's rebuild
-        // is in flight), the mid-write kill in the quiet stretch between
-        // the storm and the power loss, the mid-scrub kill near the end.
-        cfg.persist.kill_mid_rebuild_at_op = ops / 5 + 1;
-        cfg.persist.kill_mid_write_at_op = (ops * 7) / 10;
-        cfg.persist.kill_mid_scrub_at_op = (ops * 9) / 10;
-    }
-    if (slo_enabled) {
-        cfg.slo = make_slo_objectives(slo_read_p99_us, /*volume_mode=*/false);
-    }
-    if (!quiet) {
-        cfg.log = [](const std::string& msg) {
-            std::printf("  [event] %s\n", msg.c_str());
-        };
-    }
-
-    const chaos_report rep = liberation::raid::run_chaos_campaign(cfg);
-    print_report(cfg, rep, json);
     bool exports_ok = true;
     if (metrics_out != nullptr) {
         exports_ok = write_file(metrics_out, rep.metrics_text) && exports_ok;
