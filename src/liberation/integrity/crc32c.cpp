@@ -229,18 +229,17 @@ gf2_matrix gf2_shift_bytes(std::size_t len) noexcept {
 
 }  // namespace
 
-crc32c_lane_combiner::crc32c_lane_combiner(std::size_t block_bytes) noexcept
-    : n_(block_bytes) {
-    const std::size_t lane = crc32c_lane_bytes(n_);
-    const gf2_matrix hi = gf2_shift_bytes(n_ - lane);
-    const gf2_matrix lo = gf2_shift_bytes(n_ - 2 * lane);
-    const gf2_matrix full = gf2_compose(gf2_shift_bytes(lane), hi);
+crc32c_shift::crc32c_shift(std::size_t len) noexcept {
+    const gf2_matrix m = gf2_shift_bytes(len);
     for (int k = 0; k < 8; ++k)
-        for (std::uint32_t d = 0; d < 16; ++d) {
-            shift_hi_.tab[k][d] = gf2_times(hi, d << (4 * k));
-            shift_lo_.tab[k][d] = gf2_times(lo, d << (4 * k));
-        }
-    seed_term_ = gf2_times(full, ~0u);
+        for (std::uint32_t d = 0; d < 16; ++d)
+            tab_[k][d] = gf2_times(m, d << (4 * k));
 }
+
+crc32c_lane_combiner::crc32c_lane_combiner(std::size_t block_bytes) noexcept
+    : n_(block_bytes),
+      shift_hi_(n_ - crc32c_lane_bytes(n_)),
+      shift_lo_(n_ - 2 * crc32c_lane_bytes(n_)),
+      seed_term_(gf2_times(gf2_shift_bytes(n_), ~0u)) {}
 
 }  // namespace liberation::integrity

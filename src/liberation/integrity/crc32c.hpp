@@ -79,12 +79,40 @@ void force_impl(crc32c_impl impl) noexcept;
     return (n / 3) & ~static_cast<std::size_t>(7);
 }
 
+/// "Advance by `len` bytes" on CRC32C values: multiplication by
+/// x^(8*len) mod P, precomputed into nibble lookup tables (zlib's
+/// crc32_combine operator, cached for one length instead of rebuilt per
+/// call). It stitches the checksums of adjacent pieces without revisiting
+/// their bytes:
+///   crc32c(a ++ b) == crc32c_shift(b.size()).combine(crc32c(a), crc32c(b))
+/// in 8 table lookups, whatever the lengths. The map is linear over
+/// GF(2), so it applies equally to raw (inverted) chain states.
+class crc32c_shift {
+public:
+    explicit crc32c_shift(std::size_t len) noexcept;
+
+    /// Advance a CRC state by `len` zero bytes.
+    [[nodiscard]] std::uint32_t apply(std::uint32_t x) const noexcept {
+        std::uint32_t r = 0;
+        for (int k = 0; k < 8; ++k) r ^= tab_[k][(x >> (4 * k)) & 0xfu];
+        return r;
+    }
+
+    /// CRC32C of a ++ b from crc32c(a) and crc32c(b), where b is `len`
+    /// bytes long.
+    [[nodiscard]] std::uint32_t combine(std::uint32_t crc_a,
+                                        std::uint32_t crc_b) const noexcept {
+        return apply(crc_a) ^ crc_b;
+    }
+
+private:
+    std::uint32_t tab_[8][16];
+};
+
 /// Stitches the three raw lane chains of one fixed-size block back into
-/// the block's standard CRC32C. The stitch multiplies each lane CRC by
-/// x^(8*shift) mod P — a linear map precomputed into nibble lookup tables
-/// at construction (zlib's crc32_combine operator, cached for the block
-/// size instead of rebuilt per call), so combining costs ~20 table
-/// lookups per block regardless of block size.
+/// the block's standard CRC32C: each lane CRC is advanced past the lanes
+/// that follow it (crc32c_shift), so combining costs ~20 table lookups per
+/// block regardless of block size.
 class crc32c_lane_combiner {
 public:
     explicit crc32c_lane_combiner(std::size_t block_bytes) noexcept;
@@ -96,27 +124,14 @@ public:
     /// (seed 0, bracketed) CRC32C of the whole block.
     [[nodiscard]] std::uint32_t combine(
         const std::uint32_t lanes[3]) const noexcept {
-        return ~(apply(shift_hi_, lanes[0]) ^ apply(shift_lo_, lanes[1]) ^
+        return ~(shift_hi_.apply(lanes[0]) ^ shift_lo_.apply(lanes[1]) ^
                  lanes[2] ^ seed_term_);
     }
 
 private:
-    /// x^(8*len) mod P as 8 nibble tables: apply() advances a raw state
-    /// by `len` zero bytes in 8 lookups.
-    struct shift_op {
-        std::uint32_t tab[8][16];
-    };
-
-    [[nodiscard]] static std::uint32_t apply(const shift_op& op,
-                                             std::uint32_t x) noexcept {
-        std::uint32_t r = 0;
-        for (int k = 0; k < 8; ++k) r ^= op.tab[k][(x >> (4 * k)) & 0xfu];
-        return r;
-    }
-
     std::size_t n_;
-    shift_op shift_hi_;        ///< advance by n - L bytes (lane 0)
-    shift_op shift_lo_;        ///< advance by n - 2L bytes (lane 1)
+    crc32c_shift shift_hi_;    ///< advance by n - L bytes (lane 0)
+    crc32c_shift shift_lo_;    ///< advance by n - 2L bytes (lane 1)
     std::uint32_t seed_term_;  ///< the ~0 seed advanced through all n bytes
 };
 

@@ -1110,7 +1110,7 @@ void raid6_array::persist_intent() {
     }
     for (std::uint32_t s = 0; s < map_.n(); ++s) {
         if (!store_->meta_slot(s) || !store_->slot_ok(s)) continue;
-        store_->image(s).intents = ents;
+        store_->head(s).intents = ents;
         (void)store_->persist(s);
     }
 }
@@ -1118,18 +1118,10 @@ void raid6_array::persist_intent() {
 void raid6_array::persist_checksums(std::uint32_t disk, std::size_t offset,
                                     std::size_t len) {
     if (!store_ || !store_->meta_slot(disk) || !store_->slot_ok(disk)) return;
-    persist::superblock& img = store_->image(disk);
-    const std::span<const std::uint32_t> crcs = regions_[disk].checksums();
-    if (img.crcs.size() != crcs.size()) {
-        img.crcs.assign(crcs.begin(), crcs.end());
-    } else {
-        const std::size_t b0 = offset / integrity_block_;
-        const std::size_t b1 =
-            (offset + len + integrity_block_ - 1) / integrity_block_;
-        std::copy(crcs.begin() + static_cast<std::ptrdiff_t>(b0),
-                  crcs.begin() + static_cast<std::ptrdiff_t>(b1),
-                  img.crcs.begin() + static_cast<std::ptrdiff_t>(b0));
-    }
+    const std::size_t b0 = offset / integrity_block_;
+    const std::size_t b1 =
+        (offset + len + integrity_block_ - 1) / integrity_block_;
+    store_->sync_crcs(disk, regions_[disk].checksums(), b0, b1 - b0);
     (void)store_->persist(disk);
 }
 
@@ -1165,7 +1157,7 @@ void raid6_array::persist_membership() {
     ++events;
     for (std::uint32_t s = 0; s < n; ++s) {
         if (!store_->meta_slot(s) || !store_->slot_ok(s)) continue;
-        persist::superblock& img = store_->image(s);
+        persist::superblock& img = store_->head(s);
         img.slot_states = states;
         img.watermarks = marks;
         img.spares_available = static_cast<std::uint32_t>(spares_.size());
@@ -1180,7 +1172,7 @@ void raid6_array::persist_watermarks() {
     if (!store_) return;
     for (std::uint32_t s = 0; s < map_.n(); ++s) {
         if (!store_->meta_slot(s) || !store_->slot_ok(s)) continue;
-        persist::superblock& img = store_->image(s);
+        persist::superblock& img = store_->head(s);
         for (const rebuild_member& m : rebuilding_) {
             img.watermarks[m.disk] = m.cursor;
         }
@@ -1201,12 +1193,12 @@ bool raid6_array::unmount() {
     bool ok = true;
     for (std::uint32_t s = 0; s < map_.n(); ++s) {
         if (!store_->meta_slot(s) || !store_->slot_ok(s)) continue;
-        persist::superblock& img = store_->image(s);
         // Wholesale checksum refresh: scrub/read-repair may have updated
-        // words without a disk_write hook firing.
+        // words without a disk_write hook firing. (Only words that differ
+        // reach the file.)
         const std::span<const std::uint32_t> crcs = regions_[s].checksums();
-        img.crcs.assign(crcs.begin(), crcs.end());
-        img.clean = clean;
+        store_->sync_crcs(s, crcs, 0, crcs.size());
+        store_->head(s).clean = clean;
         if (!store_->persist(s)) ok = false;
     }
     if (!store_->flush_all()) ok = false;

@@ -4,10 +4,21 @@
 // as [file header][superblock slot A][superblock slot B][data area] (see
 // superblock.hpp), and a `file_backend` that executes all I/O against
 // them. The array keeps its authoritative state in memory exactly as
-// before; the store holds one mutable superblock *image* per slot, and the
+// before; the store holds one superblock *image* per slot, and the
 // array's persistence hooks edit the relevant images and call persist(),
-// which bumps the image's seq, re-encodes it, and shadow-writes the
-// alternate A/B slot.
+// which bumps the image's seq and shadow-writes the alternate A/B slot.
+//
+// A persist costs what changed, not the slot size. The store also keeps
+// each slot's encoded bytes, a CRC32C per 4 KiB page of them, and, per
+// shadow copy, the pages that changed since that copy was last written.
+// persist() re-encodes only the head section (fixed fields, slot states,
+// watermarks, intent table — small, and always re-encoded, so head edits
+// need no notice), takes checksum words already patched by sync_crcs(),
+// re-CRCs only the changed pages, stitches the trailing CRC32C from the
+// per-page CRCs (integrity::crc32c_shift), and writes only the pages the
+// target copy lacks. The bytes that land in each copy are exactly
+// encode(image) — the on-disk format and the persist sequence are those
+// of a whole-slot rewrite.
 //
 // Fsync ordering (machine-crash durability, `store_config::sync_meta`):
 // a superblock is fdatasync'd immediately after its slot write, so a
@@ -18,13 +29,17 @@
 // campaign's kill-and-remount phases exercise. See docs/PERSISTENCE.md.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "liberation/aio/file_backend.hpp"
+#include "liberation/integrity/crc32c.hpp"
 #include "liberation/raid/persist/superblock.hpp"
 
 namespace liberation::raid::persist {
@@ -106,18 +121,35 @@ public:
     /// updates for it.
     bool reinit_slot(std::uint32_t slot);
 
-    /// The mutable in-memory superblock image for a slot. The array's
-    /// hooks edit images, then persist() the ones they touched.
-    [[nodiscard]] superblock& image(std::uint32_t slot) {
-        return images_[slot];
-    }
+    /// The in-memory superblock image for a slot.
     [[nodiscard]] const superblock& image(std::uint32_t slot) const {
         return images_[slot];
     }
 
+    /// The slot's image for editing its head fields — everything but
+    /// `crcs`. persist() re-encodes the head every time, so edits here
+    /// need no further notice. The checksum table changes only through
+    /// sync_crcs(), which keeps the encoded bytes in step.
+    [[nodiscard]] superblock& head(std::uint32_t slot) {
+        return images_[slot];
+    }
+
+    /// Bring checksum words [first, first + count) of the slot's image in
+    /// step with `table`, the disk's live checksum table. A table of a
+    /// different length replaces the image's whole table.
+    void sync_crcs(std::uint32_t slot, std::span<const std::uint32_t> table,
+                   std::size_t first, std::size_t count);
+
     /// Bump the image's seq and shadow-write it to the alternate A/B slot
-    /// (fdatasync'd when sync_meta). False when the slot's file is gone.
+    /// (fdatasync'd when sync_meta). False when the slot's file is gone or
+    /// the write fails; the copy it targeted is then rewritten in full by
+    /// its next persist.
     bool persist(std::uint32_t slot);
+
+    /// Metadata bytes pwritten so far: file headers and superblock copies.
+    [[nodiscard]] std::uint64_t meta_bytes_written() const noexcept {
+        return meta_bytes_written_.load(std::memory_order_relaxed);
+    }
 
     // ---- data plane (offsets relative to the data area) ----------------
     [[nodiscard]] bool read_data(std::uint32_t slot, std::size_t offset,
@@ -133,14 +165,41 @@ private:
     store(store_config cfg, std::vector<superblock> images,
           std::uint64_t slot_bytes, std::size_t disk_capacity);
 
+    /// encode(image) of one slot, cut into 4 KiB pages, and what each
+    /// shadow copy still lacks of it.
+    struct encoded_slot {
+        std::vector<std::byte> bytes;        ///< empty until first encoded
+        std::size_t head = 0;                ///< head_size() of the image
+        std::vector<std::byte> scratch;      ///< freshly encoded head
+        std::vector<std::uint32_t> page_crc; ///< CRC32C per page of the body
+        std::vector<std::uint8_t> flags;     ///< per page: stale, A/B dirty
+        /// Advance by the length of the last (partial) body page.
+        std::optional<integrity::crc32c_shift> tail_shift;
+    };
+
     /// Write the file header and both superblock slots of one file.
     bool init_slot_file(std::uint32_t slot);
+    /// Encode the whole image afresh: every page stale, both copies dirty.
+    void reencode(std::uint32_t slot);
+    /// Recompute stale page CRCs and store the stitched trailing CRC32C.
+    static void seal(encoded_slot& e);
+    /// pwrite the pages copy `copy` lacks; on failure mark it fully dirty.
+    bool write_copy(std::uint32_t slot, std::uint64_t copy);
+    /// Overwrite e.bytes[off, off + src.size()) with `src`, OR-ing `mark`
+    /// into the flags of every page whose bytes actually change.
+    static void patch(encoded_slot& e, std::size_t off,
+                      std::span<const std::byte> src, std::uint8_t mark);
+    /// backend pwrite_raw, counted in meta_bytes_written().
+    bool pwrite_meta(std::uint32_t slot, std::size_t offset,
+                     std::span<const std::byte> in);
 
     store_config cfg_;
     std::uint64_t slot_bytes_;
     std::uint64_t uuid_;
     std::uint64_t meta_mask_ = ~std::uint64_t{0};
     std::vector<superblock> images_;
+    std::vector<encoded_slot> encoded_;
+    std::atomic<std::uint64_t> meta_bytes_written_{0};
     std::unique_ptr<aio::file_backend> backend_;
 };
 

@@ -2,59 +2,13 @@
 
 #include "liberation/integrity/crc32c.hpp"
 #include "liberation/util/assert.hpp"
+#include "liberation/util/le_codec.hpp"
 
 namespace liberation::raid::persist {
 
 namespace {
 
-// Explicit little-endian (de)serialization: byte-order independent and
-// free of alignment assumptions, so an image travels between hosts.
-
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-    out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-}
-
-/// Bounds-checked sequential reader; any overrun poisons the parse.
-struct reader {
-    std::span<const std::byte> raw;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    std::uint8_t u8() {
-        if (pos + 1 > raw.size()) { ok = false; return 0; }
-        return static_cast<std::uint8_t>(raw[pos++]);
-    }
-    std::uint32_t u32() {
-        if (pos + 4 > raw.size()) { ok = false; return 0; }
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[pos + i]) << (8 * i);
-        }
-        pos += 4;
-        return v;
-    }
-    std::uint64_t u64() {
-        if (pos + 8 > raw.size()) { ok = false; return 0; }
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(raw[pos + i]) << (8 * i);
-        }
-        pos += 8;
-        return v;
-    }
-};
+namespace le = util::le;
 
 constexpr std::size_t fixed_fields_size =
     8 + 4 + 4 +          // magic, version, flags
@@ -74,65 +28,71 @@ constexpr std::size_t max_crc_count = std::size_t{1} << 32;
 
 }  // namespace
 
-std::size_t encoded_size(std::uint32_t slots, std::uint32_t intent_capacity,
-                         std::size_t crc_count) noexcept {
+std::size_t head_size(std::uint32_t slots,
+                      std::uint32_t intent_capacity) noexcept {
     return fixed_fields_size +
            std::size_t{slots} * (1 + 8) +       // slot_states + watermarks
-           std::size_t{intent_capacity} * 24 +  // stripe, columns, seq
+           std::size_t{intent_capacity} * 24;   // stripe, columns, seq
+}
+
+std::size_t encoded_size(std::uint32_t slots, std::uint32_t intent_capacity,
+                         std::size_t crc_count) noexcept {
+    return head_size(slots, intent_capacity) +
            crc_count * 4 +                      // checksum table
            4;                                   // trailing CRC32C
 }
 
-std::vector<std::byte> encode(const superblock& sb) {
+void encode_head(const superblock& sb, std::span<std::byte> out) {
     LIBERATION_EXPECTS(sb.slot_states.size() == sb.watermarks.size());
     LIBERATION_EXPECTS(sb.intents.size() <= sb.intent_capacity);
-    std::vector<std::byte> out;
-    out.reserve(encoded_size(static_cast<std::uint32_t>(sb.slot_states.size()),
-                             sb.intent_capacity, sb.crcs.size()));
+    LIBERATION_EXPECTS(
+        out.size() ==
+        head_size(static_cast<std::uint32_t>(sb.slot_states.size()),
+                  sb.intent_capacity));
+    le::writer w{out};
+    w.u64(superblock_magic);
+    w.u32(superblock_version);
+    w.u32(sb.clean ? flag_clean : 0);
+    w.u64(sb.seq);
+    w.u64(sb.array_uuid);
+    w.u64(sb.events);
+    w.u32(sb.slot);
+    w.u32(sb.disk_id);
+    w.u32(sb.k);
+    w.u32(sb.p);
+    w.u64(sb.element_size);
+    w.u64(sb.stripes);
+    w.u64(sb.sector_size);
+    w.u32(sb.layout);
+    w.u32(sb.spares_available);
+    w.u32(sb.next_disk_id);
+    w.u32(sb.intent_capacity);
+    w.u32(static_cast<std::uint32_t>(sb.slot_states.size()));
+    w.u32(static_cast<std::uint32_t>(sb.intents.size()));
+    w.u32(static_cast<std::uint32_t>(sb.crcs.size()));
 
-    put_u64(out, superblock_magic);
-    put_u32(out, superblock_version);
-    put_u32(out, sb.clean ? flag_clean : 0);
-    put_u64(out, sb.seq);
-    put_u64(out, sb.array_uuid);
-    put_u64(out, sb.events);
-    put_u32(out, sb.slot);
-    put_u32(out, sb.disk_id);
-    put_u32(out, sb.k);
-    put_u32(out, sb.p);
-    put_u64(out, sb.element_size);
-    put_u64(out, sb.stripes);
-    put_u64(out, sb.sector_size);
-    put_u32(out, sb.layout);
-    put_u32(out, sb.spares_available);
-    put_u32(out, sb.next_disk_id);
-    put_u32(out, sb.intent_capacity);
-    put_u32(out, static_cast<std::uint32_t>(sb.slot_states.size()));
-    put_u32(out, static_cast<std::uint32_t>(sb.intents.size()));
-    put_u32(out, static_cast<std::uint32_t>(sb.crcs.size()));
-
-    for (std::uint8_t st : sb.slot_states) put_u8(out, st);
-    for (std::uint64_t wm : sb.watermarks) put_u64(out, wm);
-    for (const superblock::intent_entry& e : sb.intents) {
-        put_u64(out, e.stripe);
-        put_u64(out, e.columns);
-        put_u64(out, e.seq);
-    }
+    w.table<std::uint8_t>(sb.slot_states);
+    w.table<std::uint64_t>(sb.watermarks);
+    w.records<std::uint64_t, superblock::intent_entry>(sb.intents);
     // Pad the unused intent slots so the encoded size — and with it the
     // on-disk slot framing — never depends on log occupancy.
-    for (std::size_t i = sb.intents.size(); i < sb.intent_capacity; ++i) {
-        put_u64(out, 0);
-        put_u64(out, 0);
-        put_u64(out, 0);
-    }
-    for (std::uint32_t crc : sb.crcs) put_u32(out, crc);
+    w.zeros((sb.intent_capacity - sb.intents.size()) * 24);
+}
 
-    put_u32(out, integrity::crc32c(out.data(), out.size()));
+std::vector<std::byte> encode(const superblock& sb) {
+    const auto slots = static_cast<std::uint32_t>(sb.slot_states.size());
+    std::vector<std::byte> out(
+        encoded_size(slots, sb.intent_capacity, sb.crcs.size()));
+    const std::size_t head = head_size(slots, sb.intent_capacity);
+    encode_head(sb, std::span(out).first(head));
+    le::writer w{std::span(out).subspan(head)};
+    w.table<std::uint32_t>(sb.crcs);
+    w.u32(integrity::crc32c(out.data(), out.size() - 4));
     return out;
 }
 
 std::optional<superblock> decode(std::span<const std::byte> raw) {
-    reader r{raw};
+    le::reader r{raw};
     if (r.u64() != superblock_magic) return std::nullopt;
     if (r.u32() != superblock_version) return std::nullopt;
 
@@ -166,28 +126,18 @@ std::optional<superblock> decode(std::span<const std::byte> raw) {
 
     // Validate the trailing CRC over exactly the encoded extent before
     // trusting any table contents (the slot buffer may be larger).
-    const std::uint32_t stored = [&] {
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[want - 4 + i]) << (8 * i);
-        }
-        return v;
-    }();
+    const auto stored = le::load<std::uint32_t>(raw.data() + want - 4);
     if (integrity::crc32c(raw.data(), want - 4) != stored) return std::nullopt;
 
     sb.slot_states.resize(slots);
-    for (std::uint32_t i = 0; i < slots; ++i) sb.slot_states[i] = r.u8();
+    r.table<std::uint8_t>(sb.slot_states);
     sb.watermarks.resize(slots);
-    for (std::uint32_t i = 0; i < slots; ++i) sb.watermarks[i] = r.u64();
+    r.table<std::uint64_t>(sb.watermarks);
     sb.intents.resize(intent_count);
-    for (std::uint32_t i = 0; i < intent_count; ++i) {
-        sb.intents[i].stripe = r.u64();
-        sb.intents[i].columns = r.u64();
-        sb.intents[i].seq = r.u64();
-    }
-    r.pos += (sb.intent_capacity - intent_count) * 24;  // skip padding slots
+    r.records<std::uint64_t, superblock::intent_entry>(sb.intents);
+    r.skip((sb.intent_capacity - intent_count) * 24);  // padding slots
     sb.crcs.resize(crc_count);
-    for (std::uint32_t i = 0; i < crc_count; ++i) sb.crcs[i] = r.u32();
+    r.table<std::uint32_t>(sb.crcs);
     if (!r.ok) return std::nullopt;
 
     for (std::uint8_t st : sb.slot_states) {
@@ -200,21 +150,21 @@ std::optional<superblock> decode(std::span<const std::byte> raw) {
 }
 
 std::vector<std::byte> encode_header(const file_header& h) {
-    std::vector<std::byte> out;
-    out.reserve(file_header_size);
-    put_u64(out, file_header_magic);
-    put_u32(out, superblock_version);
-    put_u64(out, h.array_uuid);
-    put_u32(out, h.slot);
-    put_u64(out, h.slot_bytes);
-    put_u64(out, h.data_offset);
-    put_u32(out, integrity::crc32c(out.data(), out.size()));
-    out.resize(file_header_size);  // zero-pad to the full header block
+    // Zero-padded to the full header block.
+    std::vector<std::byte> out(file_header_size);
+    le::writer w{out};
+    w.u64(file_header_magic);
+    w.u32(superblock_version);
+    w.u64(h.array_uuid);
+    w.u32(h.slot);
+    w.u64(h.slot_bytes);
+    w.u64(h.data_offset);
+    w.u32(integrity::crc32c(out.data(), w.pos()));
     return out;
 }
 
 std::optional<file_header> decode_header(std::span<const std::byte> raw) {
-    reader r{raw};
+    le::reader r{raw};
     if (r.u64() != file_header_magic) return std::nullopt;
     if (r.u32() != superblock_version) return std::nullopt;
     file_header h;

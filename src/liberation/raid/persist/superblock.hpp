@@ -26,7 +26,7 @@
 // store's job (see store.hpp and docs/PERSISTENCE.md).
 //
 // All integers are serialized little-endian, explicitly, so an image
-// written on one host decodes on any other.
+// written on one host decodes on any other (util/le_codec.hpp).
 #pragma once
 
 #include <cstddef>
@@ -116,9 +116,21 @@ struct superblock {
                                        std::uint32_t intent_capacity,
                                        std::size_t crc_count) noexcept;
 
+/// Byte length of the *head* section: the fixed fields, slot states,
+/// watermarks and the capacity-sized intent table — everything the
+/// encoding places before the checksum table.
+[[nodiscard]] std::size_t head_size(std::uint32_t slots,
+                                    std::uint32_t intent_capacity) noexcept;
+
 /// Serialize; the result is CRC32C-terminated and decode()-compatible.
-/// sb.intents.size() must be <= sb.intent_capacity.
+/// sb.intents.size() must be <= sb.intent_capacity. Layout:
+///   [ head, head_size() ][ crcs, 4 B each ][ CRC32C of all before, 4 B ]
 [[nodiscard]] std::vector<std::byte> encode(const superblock& sb);
+
+/// The head section of encode(sb), written into `out` (which must be
+/// exactly head_size() bytes). The store re-encodes only this section on
+/// a persist and patches the checksum table word by word.
+void encode_head(const superblock& sb, std::span<std::byte> out);
 
 /// Parse and validate (magic, version, structural bounds, trailing CRC).
 /// nullopt = not a valid v1 superblock — a torn write, zeroed slot, or

@@ -6,52 +6,17 @@
 
 #include "liberation/integrity/crc32c.hpp"
 #include "liberation/util/assert.hpp"
+#include "liberation/util/le_codec.hpp"
 
 namespace liberation::volume::persist {
 
 namespace {
 
-// Explicit little-endian (de)serialization, same discipline as the
-// per-disk superblocks: byte-order independent, no alignment
-// assumptions, trailing CRC32C over the encoded extent.
+// Same little-endian codec as the per-disk superblocks
+// (util/le_codec.hpp): byte-order independent, no alignment assumptions,
+// trailing CRC32C over the encoded extent.
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-}
-
-/// Bounds-checked sequential reader; any overrun poisons the parse.
-struct reader {
-    std::span<const std::byte> raw;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    std::uint32_t u32() {
-        if (pos + 4 > raw.size()) { ok = false; return 0; }
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[pos + i]) << (8 * i);
-        }
-        pos += 4;
-        return v;
-    }
-    std::uint64_t u64() {
-        if (pos + 8 > raw.size()) { ok = false; return 0; }
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(raw[pos + i]) << (8 * i);
-        }
-        pos += 8;
-        return v;
-    }
-};
+namespace le = util::le;
 
 constexpr std::uint32_t flag_clean = 1u << 0;
 
@@ -94,29 +59,29 @@ std::string shard_dir(const std::string& dir, std::uint32_t shard) {
 std::vector<std::byte> encode(const manifest& m) {
     LIBERATION_EXPECTS(m.shards > 0 && m.shards <= manifest_max_shards);
     LIBERATION_EXPECTS(m.shard_uuids.size() == m.shards);
-    std::vector<std::byte> out;
-    out.reserve(encoded_size(m.shards));
-    put_u64(out, manifest_magic);
-    put_u32(out, manifest_version);
-    put_u32(out, m.clean ? flag_clean : 0);
-    put_u64(out, m.seq);
-    put_u64(out, m.volume_uuid);
-    put_u32(out, m.shards);
-    put_u64(out, m.chunk_stripes);
-    put_u32(out, m.k);
-    put_u32(out, m.p);
-    put_u64(out, m.element_size);
-    put_u64(out, m.stripes);
-    put_u64(out, m.sector_size);
-    put_u32(out, m.layout);
-    for (std::uint64_t uuid : m.shard_uuids) put_u64(out, uuid);
-    put_u32(out, integrity::crc32c(out.data(), out.size()));
+    std::vector<std::byte> out(encoded_size(m.shards));
+    le::writer w{out};
+    w.u64(manifest_magic);
+    w.u32(manifest_version);
+    w.u32(m.clean ? flag_clean : 0);
+    w.u64(m.seq);
+    w.u64(m.volume_uuid);
+    w.u32(m.shards);
+    w.u64(m.chunk_stripes);
+    w.u32(m.k);
+    w.u32(m.p);
+    w.u64(m.element_size);
+    w.u64(m.stripes);
+    w.u64(m.sector_size);
+    w.u32(m.layout);
+    w.table<std::uint64_t>(m.shard_uuids);
+    w.u32(integrity::crc32c(out.data(), w.pos()));
     LIBERATION_EXPECTS(out.size() <= manifest_slot_size);
     return out;
 }
 
 std::optional<manifest> decode(std::span<const std::byte> raw) {
-    reader r{raw};
+    le::reader r{raw};
     if (r.u64() != manifest_magic) return std::nullopt;
     if (r.u32() != manifest_version) return std::nullopt;
 
@@ -140,17 +105,11 @@ std::optional<manifest> decode(std::span<const std::byte> raw) {
     if (raw.size() < want) return std::nullopt;
     // Validate the trailing CRC over exactly the encoded extent before
     // trusting the UUID table (the slot buffer is zero-padded past it).
-    const std::uint32_t stored = [&] {
-        std::uint32_t v = 0;
-        for (std::size_t i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(raw[want - 4 + i]) << (8 * i);
-        }
-        return v;
-    }();
+    const auto stored = le::load<std::uint32_t>(raw.data() + want - 4);
     if (integrity::crc32c(raw.data(), want - 4) != stored) return std::nullopt;
 
     m.shard_uuids.resize(m.shards);
-    for (std::uint32_t s = 0; s < m.shards; ++s) m.shard_uuids[s] = r.u64();
+    r.table<std::uint64_t>(m.shard_uuids);
     if (!r.ok) return std::nullopt;
     return m;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -61,6 +62,46 @@ TEST(Crc32c, SoftwareMatchesHardware) {
         EXPECT_EQ(crc32c_software(buf.data() + skew, 100),
                   crc32c_hardware(buf.data() + skew, 100));
     }
+}
+
+TEST(Crc32c, ShiftCombineStitchesConcatenation) {
+    // crc32c(a ++ b) from crc32c(a) and crc32c(b) alone, for tail lengths
+    // around the 8-byte kernel step and the 4 KiB page the superblock
+    // store stitches at; checked on both implementations.
+    util::xoshiro256 rng(3);
+    std::vector<std::byte> buf(5000 + 3 * 4096 + 5);
+    rng.fill(buf);
+    const std::size_t head_lengths[] = {0, 5, 4096, 5000};
+    const std::size_t tail_lengths[] = {0, 1, 7, 4095, 4096, 4097,
+                                        3 * 4096 + 5};
+    const crc32c_impl original = active_impl();
+    for (const crc32c_impl impl :
+         {crc32c_impl::software, crc32c_impl::hardware}) {
+        if (impl == crc32c_impl::hardware && !hardware_available()) continue;
+        force_impl(impl);
+        for (const std::size_t b : tail_lengths) {
+            const crc32c_shift shift(b);
+            for (const std::size_t a : head_lengths) {
+                const std::uint32_t want = crc32c(buf.data(), a + b);
+                const std::uint32_t got = shift.combine(
+                    crc32c(buf.data(), a), crc32c(buf.data() + a, b));
+                EXPECT_EQ(got, want) << "impl=" << static_cast<int>(impl)
+                                     << " a=" << a << " b=" << b;
+            }
+        }
+    }
+    force_impl(original);
+    // Folding page CRCs left to right rebuilds the whole-buffer CRC.
+    const crc32c_shift page(4096);
+    const std::size_t n = 3 * 4096 + 5;
+    const crc32c_shift tail(n % 4096);
+    std::uint32_t folded = 0;
+    for (std::size_t at = 0; at < n; at += 4096) {
+        const std::size_t len = std::min<std::size_t>(4096, n - at);
+        folded = (len == 4096 ? page : tail)
+                     .combine(folded, crc32c(buf.data() + at, len));
+    }
+    EXPECT_EQ(folded, crc32c(buf.data(), n));
 }
 
 TEST(Crc32c, ForceImplPinsDispatch) {

@@ -5,7 +5,10 @@
 // an unreadable member is kicked to a rebuild target) or degrade loudly
 // (refuse to assemble past the two-erasure budget), never silently
 // assemble corrupt state.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -18,6 +21,8 @@
 #include "liberation/raid/persist/mount.hpp"
 #include "liberation/raid/scrubber.hpp"
 #include "liberation/util/rng.hpp"
+
+#include "format_samples.hpp"
 
 namespace {
 
@@ -83,33 +88,34 @@ mount_options options_for(const std::string& dir) {
     return mo;
 }
 
-superblock sample_superblock() {
-    superblock sb;
-    sb.seq = 7;
-    sb.array_uuid = 0xDEADBEEFCAFEF00DULL;
-    sb.events = 3;
-    sb.clean = true;
-    sb.slot = 2;
-    sb.disk_id = 9;
-    sb.k = 4;
-    sb.p = 5;
-    sb.element_size = 512;
-    sb.stripes = 16;
-    sb.sector_size = 512;
-    sb.layout = 0;
-    sb.spares_available = 1;
-    sb.next_disk_id = 8;
-    sb.intent_capacity = 8;
-    sb.slot_states = {0, 0, 2, 0, 1, 0};
-    sb.watermarks = {16, 16, 5, 16, 0, 16};
-    sb.intents = {{3, 0x3F, 11}, {9, intent_log::all_columns, 12}};
-    sb.crcs = {1, 2, 3, 4, 5, 6, 7, 8};
-    return sb;
-}
+using format_samples::sample_superblock;
 
 // ---------------------------------------------------------------------
 // Superblock codec
 // ---------------------------------------------------------------------
+
+/// Every field of two superblocks, intent entries included.
+void expect_same_superblock(const superblock& got, const superblock& want) {
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.array_uuid, want.array_uuid);
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.clean, want.clean);
+    EXPECT_EQ(got.slot, want.slot);
+    EXPECT_EQ(got.disk_id, want.disk_id);
+    EXPECT_TRUE(got.geometry_matches(want));
+    EXPECT_EQ(got.spares_available, want.spares_available);
+    EXPECT_EQ(got.next_disk_id, want.next_disk_id);
+    EXPECT_EQ(got.intent_capacity, want.intent_capacity);
+    EXPECT_EQ(got.slot_states, want.slot_states);
+    EXPECT_EQ(got.watermarks, want.watermarks);
+    EXPECT_EQ(got.crcs, want.crcs);
+    ASSERT_EQ(got.intents.size(), want.intents.size());
+    for (std::size_t i = 0; i < want.intents.size(); ++i) {
+        EXPECT_EQ(got.intents[i].stripe, want.intents[i].stripe);
+        EXPECT_EQ(got.intents[i].columns, want.intents[i].columns);
+        EXPECT_EQ(got.intents[i].seq, want.intents[i].seq);
+    }
+}
 
 TEST(Superblock, EncodeDecodeRoundtrip) {
     const superblock sb = sample_superblock();
@@ -120,22 +126,7 @@ TEST(Superblock, EncodeDecodeRoundtrip) {
 
     const auto back = decode(blob);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->seq, sb.seq);
-    EXPECT_EQ(back->array_uuid, sb.array_uuid);
-    EXPECT_EQ(back->events, sb.events);
-    EXPECT_EQ(back->clean, sb.clean);
-    EXPECT_EQ(back->slot, sb.slot);
-    EXPECT_EQ(back->disk_id, sb.disk_id);
-    EXPECT_TRUE(back->geometry_matches(sb));
-    EXPECT_EQ(back->slot_states, sb.slot_states);
-    EXPECT_EQ(back->watermarks, sb.watermarks);
-    EXPECT_EQ(back->crcs, sb.crcs);
-    ASSERT_EQ(back->intents.size(), sb.intents.size());
-    for (std::size_t i = 0; i < sb.intents.size(); ++i) {
-        EXPECT_EQ(back->intents[i].stripe, sb.intents[i].stripe);
-        EXPECT_EQ(back->intents[i].columns, sb.intents[i].columns);
-        EXPECT_EQ(back->intents[i].seq, sb.intents[i].seq);
-    }
+    expect_same_superblock(*back, sb);
 }
 
 TEST(Superblock, EncodedSizeIndependentOfIntentOccupancy) {
@@ -179,6 +170,29 @@ TEST(Superblock, FileHeaderRoundtripAndTearDetection) {
     EXPECT_EQ(back->data_offset, h.data_offset);
     blob[9] ^= std::byte{0x80};
     EXPECT_FALSE(decode_header(blob).has_value());
+}
+
+TEST(Superblock, V1EncodingMatchesGolden) {
+    // Format v1 is frozen: encode() must reproduce the recorded bytes and
+    // decode() of the recorded bytes must give back the sample.
+    const std::pair<const char*, superblock> cases[] = {
+        {"superblock_v1_sample", sample_superblock()},
+        {"superblock_v1_multipage", format_samples::multipage_superblock()},
+    };
+    for (const auto& [name, sb] : cases) {
+        SCOPED_TRACE(name);
+        const std::vector<std::byte> golden = format_samples::load_golden(name);
+        ASSERT_FALSE(golden.empty());
+        EXPECT_EQ(encode(sb), golden);
+        const auto back = decode(golden);
+        ASSERT_TRUE(back.has_value());
+        expect_same_superblock(*back, sb);
+    }
+    // The multi-page sample really exercises the page-straddling shapes.
+    const std::vector<std::byte> multi =
+        format_samples::load_golden("superblock_v1_multipage");
+    EXPECT_GT(multi.size(), 2 * 4096u);
+    EXPECT_NE(multi.size() % 4096, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -625,6 +639,223 @@ TEST(Persistence, ForeignDiskIsNeverOverwritten) {
     (void)m.array->unmount();  // degraded unmount; foreign slot excluded
     // The foreign file was not touched by mount, I/O, or unmount.
     EXPECT_EQ(slurp(slot_path), foreign_before);
+}
+
+// ---------------------------------------------------------------------
+// Superblock store: dirty-page persists against the whole-image oracle
+// ---------------------------------------------------------------------
+
+/// Bytes [offset, offset + n) of a file.
+std::vector<std::byte> read_range(const std::string& path, std::size_t offset,
+                                  std::size_t n) {
+    std::vector<std::byte> out(n);
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (f == nullptr) return {};
+    EXPECT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    EXPECT_EQ(std::fread(out.data(), 1, n, f), n);
+    std::fclose(f);
+    return out;
+}
+
+/// One A/B copy of a slot's superblock, read back from its file.
+std::vector<std::byte> read_copy(const std::string& dir, const store& st,
+                                 std::uint32_t slot, std::uint64_t copy) {
+    const superblock& img = st.image(slot);
+    const std::size_t n = encoded_size(
+        static_cast<std::uint32_t>(img.slot_states.size()),
+        img.intent_capacity, img.crcs.size());
+    return read_range(store::disk_path(dir, slot),
+                      file_header_size + copy * st.slot_bytes(), n);
+}
+
+/// A slot's files hold exactly what a whole-slot rewrite would have left:
+/// the copy the latest persist targeted equals encode(image) byte for
+/// byte, and the other copy is a complete encoding of an older (or, right
+/// after initialization, the same) image.
+void expect_copies_match(const std::string& dir, const store& st,
+                         std::uint32_t slot) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    const superblock& img = st.image(slot);
+    const std::uint64_t newest = img.seq % 2;
+    for (const std::uint64_t copy : {0u, 1u}) {
+        const std::vector<std::byte> raw = read_copy(dir, st, slot, copy);
+        const auto sb = decode(raw);
+        ASSERT_TRUE(sb.has_value()) << "copy " << copy << " does not decode";
+        if (copy == newest) {
+            EXPECT_EQ(raw, encode(img)) << "copy " << copy;
+        } else {
+            EXPECT_LE(sb->seq, img.seq);
+            EXPECT_EQ(raw, encode(*sb)) << "copy " << copy;
+        }
+    }
+}
+
+void expect_all_copies_match(const std::string& dir, raid6_array& a) {
+    const store* st = a.persistence();
+    ASSERT_NE(st, nullptr);
+    for (std::uint32_t s = 0; s < st->slot_count(); ++s) {
+        if (st->meta_slot(s) && st->slot_ok(s)) expect_copies_match(dir, *st, s);
+    }
+}
+
+/// An array whose superblocks span three pages (checksum table > 4 KiB).
+array_config multipage_config() {
+    array_config cfg = small_config();
+    cfg.stripes = 512;
+    cfg.hot_spares = 1;
+    cfg.rebuild_batch_stripes = 32;
+    return cfg;
+}
+
+TEST(SuperblockStore, DirtyPagePersistsMatchWholeImageOracle) {
+    const std::string dir = fresh_dir("sb-oracle");
+    const array_config cfg = multipage_config();
+    store_config scfg;
+    scfg.dir = dir;
+    auto a = create_array(cfg, scfg, 0x5B5B);
+    ASSERT_NE(a, nullptr);
+    store* st = a->persistence();
+    ASSERT_NE(st, nullptr);
+    ASSERT_GT(encode(st->image(0)).size(), 2 * 4096u);
+    expect_all_copies_match(dir, *a);
+
+    const std::size_t stripe_bytes = a->capacity() / cfg.stripes;
+    const std::size_t elem = cfg.element_size;
+    util::xoshiro256 rng(20);
+    std::uint64_t salt = 100;
+    const auto random_ops = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            switch (rng.next() % 4) {
+            case 0: {  // full-stripe write
+                const std::size_t stripe = rng.next() % cfg.stripes;
+                ASSERT_TRUE(a->write(stripe * stripe_bytes,
+                                     pattern_bytes(stripe_bytes, ++salt)));
+                break;
+            }
+            case 1:
+            case 2: {  // small (element) write
+                const std::size_t at =
+                    rng.next() % (a->capacity() / elem) * elem;
+                ASSERT_TRUE(a->write(at, pattern_bytes(elem, ++salt)));
+                break;
+            }
+            default:  // a bare persist: nothing changed but the seq
+                ASSERT_TRUE(st->persist(
+                    static_cast<std::uint32_t>(rng.next() % st->slot_count())));
+                break;
+            }
+            expect_all_copies_match(dir, *a);
+        }
+    };
+
+    random_ops(60);
+    // Fail-stop: the spare is promoted and the background rebuild
+    // advances the new member's watermark batch by batch.
+    a->fail_disk(1);
+    expect_all_copies_match(dir, *a);
+    int batches = 0;
+    while (a->rebuild_active()) {
+        (void)a->service_background_rebuild(cfg.rebuild_batch_stripes);
+        expect_all_copies_match(dir, *a);
+        if (++batches % 4 == 0) random_ops(3);
+    }
+    EXPECT_GE(batches, 8);
+    // Re-initialize a live slot's file: both copies rewritten whole.
+    ASSERT_TRUE(st->reinit_slot(2));
+    expect_all_copies_match(dir, *a);
+    random_ops(20);
+
+    std::vector<std::byte> data(a->capacity());
+    ASSERT_TRUE(a->read(0, data));
+    ASSERT_TRUE(a->unmount());
+    for (std::uint32_t s = 0; s < cfg.k + 2; ++s) {
+        const auto probe = probe_dir(dir)[s];
+        ASSERT_TRUE(probe.sb.has_value()) << s;
+        EXPECT_EQ(probe.bad_slots, 0) << s;
+        EXPECT_TRUE(probe.sb->clean) << s;
+    }
+
+    mounted_array m = mount_array(options_for(dir));
+    ASSERT_TRUE(m.report.ok) << m.report.error;
+    EXPECT_FALSE(m.report.unclean);
+    a = std::move(m.array);
+    st = a->persistence();
+    expect_all_copies_match(dir, *a);
+    std::vector<std::byte> back(a->capacity());
+    ASSERT_TRUE(a->read(0, back));
+    EXPECT_EQ(back, data);
+    random_ops(30);
+    EXPECT_TRUE(a->unmount());
+}
+
+/// The descriptors this process holds open on `path`.
+std::vector<int> open_descriptors(const std::string& path) {
+    struct stat want {};
+    if (::stat(path.c_str(), &want) != 0) return {};
+    std::vector<int> fds;
+    for (int fd = 0; fd < 1024; ++fd) {
+        struct stat got {};
+        if (::fstat(fd, &got) == 0 && got.st_dev == want.st_dev &&
+            got.st_ino == want.st_ino) {
+            fds.push_back(fd);
+        }
+    }
+    return fds;
+}
+
+TEST(SuperblockStore, FailedPersistRewritesItsCopyInFull) {
+    const std::string dir = fresh_dir("sb-failed-write");
+    const array_config cfg = multipage_config();
+    store_config scfg;
+    scfg.dir = dir;
+    auto a = create_array(cfg, scfg, 0x5C5C);
+    ASSERT_NE(a, nullptr);
+    store* st = a->persistence();
+    ASSERT_NE(st, nullptr);
+    ASSERT_TRUE(a->write(0, pattern_bytes(a->capacity(), 30)));
+    constexpr std::uint32_t slot = 3;
+    const std::string path = store::disk_path(dir, slot);
+    ASSERT_TRUE(st->persist(slot));
+    ASSERT_TRUE(st->persist(slot));
+    expect_copies_match(dir, *st, slot);
+
+    // The slot's file stops accepting writes: its descriptor is swapped
+    // for a read-only one. The copy the next persist targets is left torn
+    // in a page that persist would not otherwise rewrite (checksum table).
+    const std::vector<int> fds = open_descriptors(path);
+    ASSERT_EQ(fds.size(), 1u);
+    const int saved = ::dup(fds[0]);
+    const int read_only = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(saved, 0);
+    ASSERT_GE(read_only, 0);
+    ASSERT_EQ(::dup2(read_only, fds[0]), fds[0]);
+    ::close(read_only);
+    const std::uint64_t target = (st->image(slot).seq + 1) % 2;
+    flip_bytes(path, file_header_size + target * st->slot_bytes() + 4096 + 64,
+               16);
+    EXPECT_FALSE(st->persist(slot));
+    EXPECT_FALSE(decode(read_copy(dir, *st, slot, target)).has_value());
+
+    // Writable again: the other copy takes the next persist, then the
+    // failed copy is rewritten whole — torn page included.
+    ASSERT_EQ(::dup2(saved, fds[0]), fds[0]);
+    ::close(saved);
+    ASSERT_TRUE(st->persist(slot));
+    const std::uint64_t before = st->meta_bytes_written();
+    ASSERT_TRUE(st->persist(slot));
+    EXPECT_EQ(st->image(slot).seq % 2, target);
+    EXPECT_EQ(st->meta_bytes_written() - before,
+              encode(st->image(slot)).size());
+    expect_copies_match(dir, *st, slot);
+    // And the next persist of that copy is incremental again.
+    ASSERT_TRUE(st->persist(slot));
+    const std::uint64_t incremental = st->meta_bytes_written();
+    ASSERT_TRUE(st->persist(slot));
+    EXPECT_LT(st->meta_bytes_written() - incremental,
+              encode(st->image(slot)).size());
+    expect_copies_match(dir, *st, slot);
+    EXPECT_TRUE(a->unmount());
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "liberation/volume/manifest.hpp"
 #include "liberation/volume/mount.hpp"
 #include "liberation/volume/volume.hpp"
+#include "format_samples.hpp"
 
 namespace {
 
@@ -293,21 +294,23 @@ TEST(VolumeStats, RollsUpShardsAndExportsLabeledSeries) {
 // Manifest codec
 // ---------------------------------------------------------------------
 
-persist::manifest sample_manifest() {
-    persist::manifest m;
-    m.seq = 5;
-    m.volume_uuid = 0xF00DF00DF00DF00DULL;
-    m.clean = true;
-    m.shards = 3;
-    m.chunk_stripes = 2;
-    m.k = 4;
-    m.p = 5;
-    m.element_size = 512;
-    m.stripes = 8;
-    m.sector_size = 512;
-    m.layout = 0;
-    m.shard_uuids = {0x11, 0x22, 0x33};
-    return m;
+using format_samples::sample_manifest;
+
+/// Every field of two manifests.
+void expect_same_manifest(const persist::manifest& got,
+                          const persist::manifest& want) {
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.volume_uuid, want.volume_uuid);
+    EXPECT_EQ(got.clean, want.clean);
+    EXPECT_EQ(got.shards, want.shards);
+    EXPECT_EQ(got.chunk_stripes, want.chunk_stripes);
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.p, want.p);
+    EXPECT_EQ(got.element_size, want.element_size);
+    EXPECT_EQ(got.stripes, want.stripes);
+    EXPECT_EQ(got.sector_size, want.sector_size);
+    EXPECT_EQ(got.layout, want.layout);
+    EXPECT_EQ(got.shard_uuids, want.shard_uuids);
 }
 
 TEST(VolumeManifest, EncodeDecodeRoundtrip) {
@@ -316,15 +319,18 @@ TEST(VolumeManifest, EncodeDecodeRoundtrip) {
     ASSERT_LE(blob.size(), persist::manifest_slot_size);
     const auto back = persist::decode(blob);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->seq, m.seq);
-    EXPECT_EQ(back->volume_uuid, m.volume_uuid);
-    EXPECT_EQ(back->clean, m.clean);
-    EXPECT_EQ(back->shards, m.shards);
-    EXPECT_EQ(back->chunk_stripes, m.chunk_stripes);
-    EXPECT_EQ(back->k, m.k);
-    EXPECT_EQ(back->p, m.p);
-    EXPECT_EQ(back->stripes, m.stripes);
-    EXPECT_EQ(back->shard_uuids, m.shard_uuids);
+    expect_same_manifest(*back, m);
+}
+
+TEST(VolumeManifest, V1EncodingMatchesGolden) {
+    const persist::manifest m = sample_manifest();
+    const std::vector<std::byte> golden =
+        format_samples::load_golden("manifest_v1_sample");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(persist::encode(m), golden);
+    const auto back = persist::decode(golden);
+    ASSERT_TRUE(back.has_value());
+    expect_same_manifest(*back, m);
 }
 
 TEST(VolumeManifest, TornBytesFailTheCrc) {
