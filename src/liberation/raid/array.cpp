@@ -118,6 +118,7 @@ raid6_array::raid6_array(const array_config& cfg)
       journal_(cfg.intent_log_entries),
       verify_reads_(cfg.verify_reads),
       integrity_block_(std::gcd(cfg.sector_size, map_.element_size())),
+      scratch_(map_),
       policy_(cfg.io_retry, clock_),
       health_(map_.n(), cfg.health),
       latmon_(map_.n(), cfg.latency),
@@ -150,6 +151,13 @@ raid6_array::raid6_array(const array_config& cfg)
 }
 
 raid6_array::~raid6_array() = default;
+
+raid6_array::scratch_buffers::scratch_buffers(const stripe_map& m)
+    : elem(m.element_size()),
+      stride((elem + 4095) / 4096 * 4096),
+      strip(m.strip_size(), 4096),
+      slab(4 * stride, 4096),
+      stripe(m.rows(), m.n(), elem) {}
 
 void raid6_array::init_obs(const array_config& cfg) {
     if (cfg.obs_virtual_time) obs_.set_clock(&virtual_clock_now_ns, &clock_);
@@ -350,6 +358,7 @@ void raid6_array::add_data_disk() {
     regions_.emplace_back(map_.disk_capacity(), integrity_block_);
     health_.add_disk();
     latmon_.add_disk();
+    scratch_ = scratch_buffers(map_);
     // The engine's per-disk rings are sized at construction; rebuild it
     // for the grown array (it is idle here — growth requires all disks
     // online and no I/O in flight).
@@ -1232,12 +1241,24 @@ std::size_t raid6_array::recover_write_hole() {
 
 bool raid6_array::resync_journaled_stripe(std::size_t stripe,
                                           const codes::stripe_view& buf) {
-    std::vector<std::uint32_t> erased;
-    if (!load_stripe(stripe, buf, erased) || !erased.empty()) {
-        return false;  // degraded: leave journaled for later
-    }
     const std::uint32_t pc = code_.p_column();
     const std::uint32_t qc = code_.q_column();
+    std::vector<std::uint32_t> erased;
+    std::vector<io_status> statuses;
+    (void)load_stripe(stripe, buf, erased, &statuses);
+    // Parity is re-encoded from data below, so a parity column on a
+    // fail-stopped member (absent, as in write_partial) is simply not
+    // written. Any other erasure leaves the stripe journaled for later.
+    std::vector<std::uint32_t> parity_cols;
+    for (const std::uint32_t col : {pc, qc}) {
+        if (statuses[col] == io_status::ok) parity_cols.push_back(col);
+    }
+    for (const std::uint32_t col : erased) {
+        if ((col != pc && col != qc) ||
+            statuses[col] != io_status::disk_failed) {
+            return false;
+        }
+    }
     const std::uint64_t mask = journal_.columns(stripe);
     // Classify every data column whose bytes fail their stored checksum.
     // A column *targeted* by the in-flight update is torn: the mismatch is
@@ -1262,7 +1283,6 @@ bool raid6_array::resync_journaled_stripe(std::size_t stripe,
     }
     // Data is the source of truth; rebuild both parity columns.
     code_.encode(buf);
-    const std::uint32_t parity_cols[] = {pc, qc};
     if (!store_columns(stripe, buf, parity_cols) || !powered_) return false;
     journal_clear(stripe);
     return true;
@@ -1345,7 +1365,8 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
                                         std::span<std::byte> out) {
     const std::size_t elem = map_.element_size();
     LIBERATION_EXPECTS(out.size() == elem && col < map_.k());
-    util::aligned_buffer acc(elem), tmp(elem);
+    const std::span<std::byte> acc = scratch_.slot(1);
+    const std::span<std::byte> tmp = scratch_.slot(2);
 
     const auto read_elem = [&](std::uint32_t c, std::uint32_t r,
                                std::span<std::byte> dst) {
@@ -1358,10 +1379,10 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
                    dst) == io_status::ok;
     };
 
-    if (!read_elem(code_.p_column(), row, acc.span())) return false;
+    if (!read_elem(code_.p_column(), row, acc)) return false;
     for (std::uint32_t j = 0; j < map_.k(); ++j) {
         if (j == col) continue;
-        if (!read_elem(j, row, tmp.span())) return false;
+        if (!read_elem(j, row, tmp)) return false;
         xorops::xor_into(acc.data(), tmp.data(), elem);
     }
     if (verify_reads_) {
@@ -1372,8 +1393,7 @@ bool raid6_array::read_element_degraded(std::size_t stripe, std::uint32_t row,
         // the metadata.
         const strip_location loc = map_.locate(stripe, col);
         if (!regions_[loc.disk].verify(
-                loc.offset + static_cast<std::size_t>(row) * elem,
-                acc.span())) {
+                loc.offset + static_cast<std::size_t>(row) * elem, acc)) {
             return false;
         }
     }
@@ -1401,11 +1421,11 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
     // accounted to the rebuild-window family, not to read latency.
     obs::timed_span span(obs_, hist_read_, "raid.read");
     // Verify-on-read widens unaligned chunks to whole checksum blocks, so
-    // the fast path stages them through a strip-sized scratch buffer.
+    // the fast path stages them through the strip-sized scratch buffer.
     // Page-aligned: a file-backed disk fills it straight from the page
     // cache, and a 64-byte-aligned buffer's page offset (set by whatever
     // the heap served before) measurably slowed that copy in some layouts.
-    util::aligned_buffer vbuf(verify_reads_ ? map_.strip_size() : 0, 4096);
+    std::byte* const vbuf = scratch_.strip.data();
     std::size_t done = 0;
     while (done < out.size()) {
         const std::size_t a = addr + done;
@@ -1430,13 +1450,13 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
                 const std::size_t hi =
                     (in_strip + chunk + integrity_block_ - 1) /
                     integrity_block_ * integrity_block_;
-                const std::span<std::byte> w(vbuf.data(), hi - lo);
+                const std::span<std::byte> w(vbuf, hi - lo);
                 st = latmon_.enabled()
                          ? read_chunk_failslow(stripe, col, lo, w)
                          : verified_disk_read(loc.disk, loc.offset + lo, w);
                 if (st == io_status::ok) {
                     std::memcpy(out.data() + done + copied,
-                                vbuf.data() + (in_strip - lo), chunk);
+                                vbuf + (in_strip - lo), chunk);
                 }
             } else {
                 const std::span<std::byte> w =
@@ -1459,7 +1479,7 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
             // decode. Falls back when a second column is unavailable.
             bool element_path = span_len <= 2 * map_.element_size();
             if (element_path) {
-                util::aligned_buffer ebuf(map_.element_size());
+                const std::span<std::byte> ebuf = scratch_.slot(0);
                 for (std::size_t i = 0; i < span_len && element_path;) {
                     const std::size_t o = in_stripe + i;
                     const auto col =
@@ -1476,15 +1496,14 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
                         loc.offset +
                         static_cast<std::size_t>(row) * map_.element_size();
                     const io_status est =
-                        verified_disk_read(loc.disk, elem_off, ebuf.span());
+                        verified_disk_read(loc.disk, elem_off, ebuf);
                     if (est != io_status::ok) {
-                        if (!read_element_degraded(stripe, row, col,
-                                                   ebuf.span())) {
+                        if (!read_element_degraded(stripe, row, col, ebuf)) {
                             element_path = false;
                             break;
                         }
                         if (est == io_status::checksum_mismatch &&
-                            disk_write(loc.disk, elem_off, ebuf.span()) ==
+                            disk_write(loc.disk, elem_off, ebuf) ==
                                 io_status::ok) {
                             // Element-granular read-repair: the verified
                             // reconstruction overwrites the rot instead of
@@ -1499,8 +1518,8 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
                 }
             }
             if (!element_path) {
-                codes::stripe_buffer buf = make_stripe_buffer();
-                if (!load_and_decode(stripe, buf.view())) {
+                const codes::stripe_view buf = scratch_.stripe.view();
+                if (!load_and_decode(stripe, buf)) {
                     if (verify_reads_) {
                         note_unrecoverable_read(stripe);
                     }
@@ -1515,7 +1534,7 @@ bool raid6_array::read(std::size_t addr, std::span<std::byte> out) {
                     const std::size_t chunk =
                         std::min(span_len - i, map_.strip_size() - in_strip);
                     std::memcpy(out.data() + done + i,
-                                buf.view().strip(col).data() + in_strip,
+                                buf.strip(col).data() + in_strip,
                                 chunk);
                     i += chunk;
                 }
@@ -1672,33 +1691,40 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // silently corrupt old bytes would bake the corruption into parity
     // permanently. A checksum mismatch here simply demotes the write to
     // the reconstruct-write fallback, whose classification heals it.
-    util::aligned_buffer old_e(elem), new_e(elem), delta(elem), par(elem);
+    //
+    // A parity element on a fail-stopped member is *absent*: with at most
+    // two members down the stripe stays decodable without it, so it is
+    // neither read, patched, written nor rolled back (rebuild re-derives
+    // it from data and the other parity). Any other failure (a rebuilding
+    // spare's mask, a checksum mismatch, an exhausted transient) is on a
+    // disk that stays in the array and would go silently stale, so it
+    // still demotes the write to the fallback.
+    const std::span<std::byte> old_e = scratch_.slot(0);
+    const std::span<std::byte> new_e = scratch_.slot(1);
+    const std::span<std::byte> delta = scratch_.slot(2);
+    const std::span<std::byte> par = scratch_.slot(3);
+    const strip_location ploc = map_.locate(stripe, pc);
+    const strip_location qloc = map_.locate(stripe, qc);
+    bool p_absent = false;
+    bool q_absent = false;
+    const auto parity_ok = [&](const strip_location& loc, std::uint32_t prow,
+                               bool& absent) {
+        if (absent) return true;
+        const io_status st = verified_disk_read(
+            loc.disk, loc.offset + static_cast<std::size_t>(prow) * elem, par);
+        absent = st == io_status::disk_failed && failed_disk_count() <= 2;
+        return st == io_status::ok || absent;
+    };
     bool fast_ok = true;
     for (const touch& t : plan) {
         const strip_location dloc = map_.locate(stripe, t.col);
-        const strip_location ploc = map_.locate(stripe, pc);
-        const strip_location qloc = map_.locate(stripe, qc);
         const std::size_t elem_off = static_cast<std::size_t>(t.row) * elem;
-        if (verified_disk_read(dloc.disk, dloc.offset + elem_off,
-                               old_e.span()) != io_status::ok ||
-            verified_disk_read(
-                ploc.disk,
-                ploc.offset + static_cast<std::size_t>(t.row) * elem,
-                par.span()) != io_status::ok ||
-            verified_disk_read(
-                qloc.disk,
-                qloc.offset +
-                    static_cast<std::size_t>(g.diag_of(t.row, t.col)) * elem,
-                par.span()) != io_status::ok) {
-            fast_ok = false;
-            break;
-        }
-        if (g.is_extra_position(t.row, t.col) &&
-            verified_disk_read(
-                qloc.disk,
-                qloc.offset +
-                    static_cast<std::size_t>(g.extra_q_index(t.col)) * elem,
-                par.span()) != io_status::ok) {
+        if (verified_disk_read(dloc.disk, dloc.offset + elem_off, old_e) !=
+                io_status::ok ||
+            !parity_ok(ploc, t.row, p_absent) ||
+            !parity_ok(qloc, g.diag_of(t.row, t.col), q_absent) ||
+            (g.is_extra_position(t.row, t.col) &&
+             !parity_ok(qloc, g.extra_q_index(t.col), q_absent))) {
             fast_ok = false;
             break;
         }
@@ -1730,12 +1756,10 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         std::vector<landed_patch> landed;
         for (const touch& t : plan) {
             const strip_location dloc = map_.locate(stripe, t.col);
-            const strip_location ploc = map_.locate(stripe, pc);
-            const strip_location qloc = map_.locate(stripe, qc);
             const std::size_t elem_off = static_cast<std::size_t>(t.row) * elem;
 
             if (verified_disk_read(dloc.disk, dloc.offset + elem_off,
-                                   old_e.span()) != io_status::ok) {
+                                   old_e) != io_status::ok) {
                 applied = false;
                 break;
             }
@@ -1746,43 +1770,39 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
 
             landed.clear();
             const auto patch = [&](std::uint32_t prow,
-                                   const strip_location& loc) {
+                                   const strip_location& loc, bool absent) {
+                if (absent) return true;
                 const std::size_t poff =
                     loc.offset + static_cast<std::size_t>(prow) * elem;
-                if (verified_disk_read(loc.disk, poff, par.span()) !=
-                    io_status::ok) {
+                if (verified_disk_read(loc.disk, poff, par) != io_status::ok) {
                     return false;
                 }
                 xorops::xor_into(par.data(), delta.data(), elem);
-                if (disk_write(loc.disk, poff, par.span()) != io_status::ok) {
+                if (disk_write(loc.disk, poff, par) != io_status::ok) {
                     return false;
                 }
                 landed.push_back({loc.disk, poff});
                 return true;
             };
 
-            bool touch_ok =
-                patch(t.row, ploc) && patch(g.diag_of(t.row, t.col), qloc);
-            std::uint32_t touched = 2;
+            bool touch_ok = patch(t.row, ploc, p_absent) &&
+                            patch(g.diag_of(t.row, t.col), qloc, q_absent);
             if (touch_ok && g.is_extra_position(t.row, t.col)) {
-                touch_ok = patch(g.extra_q_index(t.col), qloc);
-                ++touched;
+                touch_ok = patch(g.extra_q_index(t.col), qloc, q_absent);
             }
             if (touch_ok &&
-                disk_write(dloc.disk, dloc.offset + elem_off, new_e.span()) !=
+                disk_write(dloc.disk, dloc.offset + elem_off, new_e) !=
                     io_status::ok) {
                 touch_ok = false;
             }
             if (!touch_ok) {
                 for (const landed_patch& u : landed) {
-                    if (disk_read(u.disk, u.offset, par.span()) !=
-                        io_status::ok) {
+                    if (disk_read(u.disk, u.offset, par) != io_status::ok) {
                         parity_trusted = false;
                         break;
                     }
                     xorops::xor_into(par.data(), delta.data(), elem);
-                    if (disk_write(u.disk, u.offset, par.span()) !=
-                        io_status::ok) {
+                    if (disk_write(u.disk, u.offset, par) != io_status::ok) {
                         parity_trusted = false;
                         break;
                     }
@@ -1791,7 +1811,7 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
                 break;
             }
             stats_.parity_elements_updated.fetch_add(
-                touched, std::memory_order_relaxed);
+                landed.size(), std::memory_order_relaxed);
         }
         if (applied) {
             journal_clear(stripe);
@@ -1814,9 +1834,9 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
     // column may be reconstructed from it: load_stripe_verified refuses,
     // the write fails loudly, and the stripe stays journaled for
     // recover_write_hole() to re-sync from data.
-    codes::stripe_buffer buf = make_stripe_buffer();
+    const codes::stripe_view buf = scratch_.stripe.view();
     const stripe_recovery rec = load_stripe_verified(
-        stripe, buf.view(), /*writeback=*/false, {}, parity_trusted);
+        stripe, buf, /*writeback=*/false, {}, parity_trusted);
     if (!rec.ok) return false;
     if (!rec.erased.empty()) {
         stats_.degraded_stripe_reads.fetch_add(1, std::memory_order_relaxed);
@@ -1838,15 +1858,14 @@ bool raid6_array::write_partial(std::size_t stripe, std::size_t in_stripe,
         const std::size_t in_strip = o % map_.strip_size();
         const std::size_t chunk =
             std::min(in.size() - j, map_.strip_size() - in_strip);
-        std::memcpy(buf.view().strip(col).data() + in_strip, in.data() + j,
-                    chunk);
+        std::memcpy(buf.strip(col).data() + in_strip, in.data() + j, chunk);
         j += chunk;
     }
-    code_.encode(buf.view());
+    code_.encode(buf);
     std::vector<std::uint32_t> cols(map_.n());
     for (std::uint32_t c = 0; c < map_.n(); ++c) cols[c] = c;
     if (!journal_mark(stripe, intent_log::all_columns)) return false;
-    store_columns(stripe, buf.view(), cols);
+    store_columns(stripe, buf, cols);
     journal_clear(stripe);
     stats_.small_writes.fetch_add(1, std::memory_order_relaxed);
     return failed_disk_count() <= 2;

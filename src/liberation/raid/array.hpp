@@ -7,7 +7,8 @@
 //   * extent writes: full-stripe writes encode in one pass; sub-stripe
 //     writes take the read-modify-write small-write path, patching exactly
 //     the 2 (occasionally 3) parity elements the Liberation update rule
-//     names — the update-optimality the paper motivates in Section I;
+//     names — the update-optimality the paper motivates in Section I —
+//     minus those on a fail-stopped parity member;
 //   * disk fail / replace, rebuild (see rebuild.hpp) and scrubbing
 //     (see scrubber.hpp);
 //   * fault tolerance: every disk read/write funnels through a retrying
@@ -327,7 +328,8 @@ public:
     /// Re-sync parity of every journaled stripe (data columns are taken as
     /// the source of truth, exactly like md's resync after an unclean
     /// shutdown). Returns the number of stripes re-synced; stripes with
-    /// unreadable columns are left journaled.
+    /// unreadable columns are left journaled, except for parity columns
+    /// on fail-stopped members, which are simply not written.
     std::size_t recover_write_hole();
 
     // ---- persistence (see raid/persist/) ------------------------------
@@ -682,6 +684,29 @@ private:
     // ---- async I/O pipeline ------------------------------------------
     disk_backend backend_{*this};
     std::unique_ptr<aio::queue_pair> aio_engine_;
+
+    /// Buffers every small and degraded host op reuses instead of
+    /// allocating per call. Foreground thread only, like aio_engine_ and
+    /// the journal; calls that nest (resync -> heal, hedged reconstruction,
+    /// rebuild) keep their own. Resized by add_data_disk().
+    struct scratch_buffers {
+        explicit scratch_buffers(const stripe_map& m);
+        /// Element slot `i` (0-3), each page-aligned. read() stages in 0,
+        /// read_element_degraded accumulates in 1 and reads survivors into
+        /// 2; write_partial holds old/new/delta/parity in 0-3.
+        [[nodiscard]] std::span<std::byte> slot(std::size_t i) noexcept {
+            return slab.subspan(i * stride, elem);
+        }
+        std::size_t elem;
+        std::size_t stride;
+        util::aligned_buffer strip;  ///< read()'s verified-chunk staging
+        util::aligned_buffer slab;
+        /// read()'s full-stripe decode and write_partial's
+        /// reconstruct-write. Never zeroed: decode ignores the old bytes
+        /// of erased columns, and every other column is read first.
+        codes::stripe_buffer stripe;
+    };
+    scratch_buffers scratch_;
 
     // ---- fault tolerance ---------------------------------------------
     virtual_clock clock_;

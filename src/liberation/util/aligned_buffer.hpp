@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <span>
@@ -36,13 +35,17 @@ public:
     /// offset within its page, which is what keeps copies between it and
     /// page-aligned memory (the kernel's page cache) from running
     /// 4K-aliased at the mercy of the heap layout.
+    ///
+    /// Memory comes from the aligned global ::operator new, so a program
+    /// that replaces the global allocation functions sees (and can count)
+    /// every buffer.
     explicit aligned_buffer(std::size_t size, std::size_t align = alignment)
-        : size_(size) {
+        : size_(size), align_(align) {
         LIBERATION_EXPECTS(align >= alignment && (align & (align - 1)) == 0);
         if (size_ == 0) return;
         capacity_ = (size_ + align - 1) / align * align;
-        data_ = static_cast<std::byte*>(std::aligned_alloc(align, capacity_));
-        if (data_ == nullptr) throw std::bad_alloc{};
+        data_ = static_cast<std::byte*>(
+            ::operator new(capacity_, std::align_val_t{align_}));
         std::memset(data_, 0, capacity_);
     }
 
@@ -52,7 +55,8 @@ public:
     aligned_buffer(aligned_buffer&& other) noexcept
         : data_(std::exchange(other.data_, nullptr)),
           size_(std::exchange(other.size_, 0)),
-          capacity_(std::exchange(other.capacity_, 0)) {}
+          capacity_(std::exchange(other.capacity_, 0)),
+          align_(other.align_) {}
 
     aligned_buffer& operator=(aligned_buffer&& other) noexcept {
         if (this != &other) {
@@ -60,6 +64,7 @@ public:
             data_ = std::exchange(other.data_, nullptr);
             size_ = std::exchange(other.size_, 0);
             capacity_ = std::exchange(other.capacity_, 0);
+            align_ = other.align_;
         }
         return *this;
     }
@@ -94,7 +99,9 @@ public:
 
 private:
     void release() noexcept {
-        std::free(data_);
+        if (data_ != nullptr) {
+            ::operator delete(data_, std::align_val_t{align_});
+        }
         data_ = nullptr;
         size_ = 0;
         capacity_ = 0;
@@ -103,6 +110,7 @@ private:
     std::byte* data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
+    std::size_t align_ = alignment;
 };
 
 }  // namespace liberation::util
