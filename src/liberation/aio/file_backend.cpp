@@ -171,7 +171,9 @@ bool file_backend::write_data(std::uint32_t file, std::size_t offset,
     d.offset = offset;
     d.data = const_cast<std::byte*>(in.data());
     d.len = in.size();
-    return execute(d) == raid::io_status::ok;
+    if (execute(d) != raid::io_status::ok) return false;
+    if (observer_) observer_(file, cfg_.data_offset + offset, in);
+    return true;
 }
 
 bool file_backend::pread_raw(std::uint32_t file, std::size_t offset,
@@ -182,8 +184,12 @@ bool file_backend::pread_raw(std::uint32_t file, std::size_t offset,
 
 bool file_backend::pwrite_raw(std::uint32_t file, std::size_t offset,
                               std::span<const std::byte> in) {
-    if (!ok(file)) return false;
-    return pwrite_all(files_[file].fd, in.data(), in.size(), offset);
+    if (!ok(file) ||
+        !pwrite_all(files_[file].fd, in.data(), in.size(), offset)) {
+        return false;
+    }
+    if (observer_) observer_(file, offset, in);
+    return true;
 }
 
 bool file_backend::flush(std::uint32_t file) {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -111,6 +112,17 @@ public:
     [[nodiscard]] bool flush(std::uint32_t file);
     [[nodiscard]] bool flush_all();
 
+    /// Test seam: called after every successful pwrite_raw() and
+    /// write_data(), in issue order, with the file, the absolute file
+    /// offset and the bytes written. The crash-prefix tests replay these
+    /// records to materialise every state a process kill can leave.
+    /// Single-threaded callers only; an empty function removes it.
+    using write_observer = std::function<void(
+        std::uint32_t file, std::size_t offset, std::span<const std::byte>)>;
+    void set_write_observer(write_observer obs) {
+        observer_ = std::move(obs);
+    }
+
 private:
     struct slot {
         int fd = -1;         ///< buffered descriptor, -1 = open failed
@@ -123,6 +135,7 @@ private:
     file_backend_config cfg_;
     std::size_t capacity_;
     std::vector<slot> files_;
+    write_observer observer_;
     std::atomic<std::uint64_t> direct_transfers_{0};
     std::atomic<std::uint64_t> buffered_transfers_{0};
     std::atomic<std::uint64_t> direct_fallbacks_{0};

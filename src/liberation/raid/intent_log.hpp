@@ -92,8 +92,16 @@ public:
         return true;
     }
 
-    /// Clear a stripe after all its disk writes completed.
-    void clear(std::size_t stripe) { dirty_.erase(stripe); }
+    /// Clear a stripe after all its disk writes completed. Returns the
+    /// erased entry (columns 0 when the stripe was clean), which the
+    /// persistence layer keeps in its on-disk table for one more epoch.
+    entry clear(std::size_t stripe) {
+        const auto it = dirty_.find(stripe);
+        if (it == dirty_.end()) return {stripe, 0, 0};
+        const entry e{stripe, it->second.columns, it->second.seq};
+        dirty_.erase(it);
+        return e;
+    }
 
     [[nodiscard]] bool is_dirty(std::size_t stripe) const {
         return dirty_.count(stripe) != 0;
@@ -111,6 +119,14 @@ public:
         out.reserve(dirty_.size());
         for (const entry& e : entries()) out.push_back(e.stripe);
         return out;
+    }
+
+    /// Visit every entry in stripe order, without allocating.
+    template <class F>
+    void for_each(F&& f) const {
+        for (const auto& [stripe, rec] : dirty_) {
+            f(entry{stripe, rec.columns, rec.seq});
+        }
     }
 
     /// Full entries in replay order (serialization and tests).

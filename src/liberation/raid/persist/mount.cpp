@@ -317,7 +317,7 @@ mounted_array mounter::mount(const mount_options& opts) {
         }
         // Re-enter a persisted fail-slow quarantine (active/resuming
         // members only — fresh hardware in a kicked slot starts normal).
-        // Must happen before persist_membership() below, which recomputes
+        // Must happen before the membership epoch below, which recomputes
         // the slot-state bytes from the live monitor.
         if ((dispo[s] == disposition::active ||
              dispo[s] == disposition::resuming) &&
@@ -339,8 +339,7 @@ mounted_array mounter::mount(const mount_options& opts) {
 
     // New epoch, stamped unclean: members that miss it (failed slots) are
     // stale at the next mount, and a crash from here on replays again.
-    a->persist_membership();
-    a->persist_intent();
+    a->meta_epoch(true);
 
     // ---- replay the write-hole intent log ------------------------------
     if (opts.replay_intent && a->journal_.size() > 0) {
