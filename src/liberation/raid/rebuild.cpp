@@ -154,6 +154,10 @@ rebuild_result rebuild_stripe_range(raid6_array& array,
             note_rebuilt(commit.size());
         });
 
+    // The rebuilt columns' checksum words are only staged: make them
+    // durable before the caller trusts the columns (a background batch
+    // advances the watermarks next, in an epoch of its own).
+    if (result.stripes_rebuilt > 0) (void)array.sync_metadata();
     result.seconds = timer.seconds();
     result.success = result.stripes_failed == 0;
     return result;
@@ -308,6 +312,7 @@ rebuild_result rebuild_single_disk_hybrid(raid6_array& array,
         ++result.columns_rebuilt;
         result.bytes_written += map.strip_size();
     }
+    if (result.stripes_rebuilt > 0) (void)array.sync_metadata();
     result.seconds = timer.seconds();
     result.success = result.stripes_failed == 0;
     return result;
